@@ -7,10 +7,10 @@
 # presets, so "verify-all" is this driver over the three single-preset
 # workflows (verify-default, verify-sanitize, verify-tsan) defined in
 # CMakePresets.json. Run from the repository root. Everything labelled
-# tier1 rides along automatically — including the result-cache suite
-# (history_hash_test, check_cache_property_test, cache_differential_test,
-# bench_cache_smoke), which the tsan leg exercises with the sharded
-# CheckCache under real pool concurrency, and the serve-daemon suite
+# tier1 rides along automatically — including the execution-cache suite
+# (exec_cache_test, cache_differential_test, bench_cache_smoke), which
+# the tsan leg exercises with contended shard leases and the pool's
+# round barriers under real concurrency, and the serve-daemon suite
 # (serve_protocol_test, server_test, serve_concurrency_test,
 # serve_smoke_test), whose smoke test the tsan leg runs against the real
 # `dfence serve` binary: submit / dispatcher-slot / transport threads

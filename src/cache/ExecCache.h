@@ -18,10 +18,6 @@
 // capacity (no eviction): hits or misses must depend only on the sequence
 // of lookups/inserts, never on timing, to keep results reproducible.
 //
-// Concurrency contract: frozen during a round (workers only call the
-// const lookup); mutated only between rounds on the merge thread, in
-// execution-index order. The pool's batch barrier orders the two phases.
-//
 //===----------------------------------------------------------------------===//
 
 #ifndef DFENCE_CACHE_EXECCACHE_H
@@ -31,7 +27,6 @@
 #include "vm/Interp.h"
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -41,7 +36,26 @@ namespace dfence::ir {
 class Module;
 } // namespace dfence::ir
 
+namespace dfence::obs {
+class Counter;
+} // namespace dfence::obs
+
 namespace dfence::cache {
+
+/// Final 64-bit avalanche (the splitmix64/murmur3 finalizer).
+inline uint64_t hashMix64(uint64_t X) {
+  X ^= X >> 33;
+  X *= 0xff51afd7ed558ccdULL;
+  X ^= X >> 33;
+  X *= 0xc4ceb9fe1a85ec53ULL;
+  X ^= X >> 33;
+  return X;
+}
+
+/// Folds \p V into running hash \p H (order-sensitive).
+inline uint64_t hashCombine(uint64_t H, uint64_t V) {
+  return hashMix64(H ^ (V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2)));
+}
 
 /// Fingerprint of a module's observable program text (hash of
 /// ir::printModule, which renders every function, label and synthesized
@@ -97,15 +111,31 @@ struct ExecSummary {
   size_t UsedMaxSteps = 0;
 };
 
+/// The cross-round execution cache, split into independently locked
+/// shards. A single-process run uses one shard; the serve daemon builds
+/// one shard per dispatcher slot so concurrent requests on different
+/// shards never contend.
+///
+/// Routing is keyed by the run's content fingerprint (routeFingerprint:
+/// module + clients, before enforcement), not by which thread happens to
+/// run it: a repeated request always lands on the shard holding its warm
+/// entries, so hit patterns (and therefore the reported cache stats) are
+/// scheduling-independent. Canonical result bytes never depend on hits
+/// at all — a hit replays a recorded result bit-identical to a fresh
+/// execution.
+///
+/// Exclusivity contract: synthesize() holds a Lease on its shard for the
+/// whole call. Within the call the shard is frozen during a round
+/// (workers only call the const lookup) and mutated only between rounds
+/// on the merge thread, in execution-index order; the pool's batch
+/// barrier orders the two phases. Two concurrent calls either use
+/// different shards or serialize on the same one.
 class ExecCache {
 public:
-  explicit ExecCache(size_t MaxEntries = 1 << 15)
-      : MaxEntries(MaxEntries) {}
-
-  /// Lifetime accounting of a shared cache instance (the serve daemon
-  /// keeps one warm cache across requests and reports these). Purely
-  /// observational: the counters never feed back into lookup/insert
-  /// decisions, so they cannot perturb the deterministic hit pattern.
+  /// Lifetime accounting (the serve daemon keeps one warm cache across
+  /// requests and reports these). Purely observational: the counters
+  /// never feed back into lookup/insert decisions, so they cannot
+  /// perturb the deterministic hit pattern.
   struct Stats {
     uint64_t Lookups = 0;
     uint64_t Hits = 0;
@@ -113,132 +143,117 @@ public:
     uint64_t RejectedFull = 0; ///< Inserts dropped at capacity.
   };
 
-  /// Returns the summary stored for \p K, or null. Safe to call
-  /// concurrently with other lookups (the map is not mutated; the stat
-  /// counters are relaxed atomics).
-  const ExecSummary *lookup(const ExecKey &K) const {
-    Lookups.fetch_add(1, std::memory_order_relaxed);
-    auto It = Map.find(K);
-    if (It == Map.end())
-      return nullptr;
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    return &It->second;
-  }
-
-  /// Stores \p S under \p K. Returns false (and stores nothing) when the
-  /// key is already present or the deterministic capacity is reached.
-  /// Merge-thread only; never call while a round is in flight.
-  bool insert(const ExecKey &K, ExecSummary S) {
-    if (Map.size() >= MaxEntries) {
-      RejectedFull.fetch_add(1, std::memory_order_relaxed);
-      return false;
+  /// One partition: a map with a fixed capacity (no eviction — hits or
+  /// misses depend only on the sequence of lookups/inserts, never on
+  /// timing) and the mutex a Lease holds.
+  class Shard {
+  public:
+    /// Returns the summary stored for \p K, or null. Safe to call
+    /// concurrently with other lookups (the map is not mutated; the stat
+    /// counters are relaxed atomics).
+    const ExecSummary *lookup(const ExecKey &K) const {
+      Lookups.fetch_add(1, std::memory_order_relaxed);
+      auto It = Map.find(K);
+      if (It == Map.end())
+        return nullptr;
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      return &It->second;
     }
-    if (!Map.try_emplace(K, std::move(S)).second)
-      return false;
-    Inserts.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
 
-  size_t size() const { return Map.size(); }
-  size_t capacity() const { return MaxEntries; }
+    /// Stores \p S under \p K. Returns false (and stores nothing) when
+    /// the key is already present or the shard is at capacity.
+    /// Merge-thread only; never call while a round is in flight.
+    bool insert(const ExecKey &K, ExecSummary S) {
+      if (Map.size() >= MaxEntries) {
+        RejectedFull.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      if (!Map.try_emplace(K, std::move(S)).second)
+        return false;
+      Inserts.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
 
-  /// Snapshot of the lifetime counters; safe to call concurrently with
-  /// lookups (values are individually consistent, not a global cut).
-  Stats stats() const {
-    Stats S;
-    S.Lookups = Lookups.load(std::memory_order_relaxed);
-    S.Hits = Hits.load(std::memory_order_relaxed);
-    S.Inserts = Inserts.load(std::memory_order_relaxed);
-    S.RejectedFull = RejectedFull.load(std::memory_order_relaxed);
-    return S;
-  }
+    size_t size() const { return Map.size(); }
+    size_t capacity() const { return MaxEntries; }
 
-private:
-  size_t MaxEntries;
-  std::unordered_map<ExecKey, ExecSummary, ExecKeyHasher> Map;
-  mutable std::atomic<uint64_t> Lookups{0}, Hits{0};
-  std::atomic<uint64_t> Inserts{0}, RejectedFull{0};
-};
+    /// Snapshot of the lifetime counters; safe to call concurrently with
+    /// lookups (values are individually consistent, not a global cut).
+    Stats stats() const {
+      Stats S;
+      S.Lookups = Lookups.load(std::memory_order_relaxed);
+      S.Hits = Hits.load(std::memory_order_relaxed);
+      S.Inserts = Inserts.load(std::memory_order_relaxed);
+      S.RejectedFull = RejectedFull.load(std::memory_order_relaxed);
+      return S;
+    }
 
-/// N independent ExecCaches behind a request-fingerprint router, for the
-/// concurrent serve dispatcher. The plain ExecCache's contract — frozen
-/// during a round, mutated only between rounds, never used by concurrent
-/// synthesize() calls — becomes a *per-shard* invariant: a request is
-/// routed to shardIndex(requestFp) and must hold that shard's mutex for
-/// its whole run, so two concurrent requests either touch different
-/// shards (fully independent) or serialize on the same one.
-///
-/// Routing is keyed by the request's content fingerprint, not by which
-/// dispatcher slot happens to run it: a repeated request always lands on
-/// the shard holding its warm entries, so hit patterns (and therefore
-/// the reported cache stats) are scheduling-independent. Canonical
-/// result bytes never depend on hits at all — a hit replays a recorded
-/// result bit-identical to a fresh execution.
-class ShardedExecCache {
-public:
-  /// \p TotalEntries is split evenly across \p NumShards (each shard
-  /// gets at least 1 entry of capacity).
-  explicit ShardedExecCache(size_t NumShards, size_t TotalEntries)
-      : Mutexes(NumShards ? NumShards : 1) {
-    size_t N = NumShards ? NumShards : 1;
-    size_t Per = TotalEntries / N;
-    if (Per == 0)
-      Per = 1;
-    Shards.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Shards.push_back(std::make_unique<ExecCache>(Per));
-  }
+  private:
+    friend class ExecCache;
+    size_t MaxEntries = 0;
+    std::unordered_map<ExecKey, ExecSummary, ExecKeyHasher> Map;
+    mutable std::atomic<uint64_t> Lookups{0}, Hits{0};
+    std::atomic<uint64_t> Inserts{0}, RejectedFull{0};
+    std::mutex Mu;
+  };
+
+  /// Exclusive use of one shard; released on destruction.
+  class Lease {
+  public:
+    Lease() = default;
+    Shard &operator*() const { return *S; }
+    Shard *operator->() const { return S; }
+    size_t index() const { return Index; }
+
+  private:
+    friend class ExecCache;
+    Shard *S = nullptr;
+    size_t Index = 0;
+    std::unique_lock<std::mutex> Lock;
+  };
+
+  /// \p TotalEntries is split across \p NumShards so the capacities add
+  /// up exactly: the first TotalEntries % NumShards shards get one extra
+  /// entry, and a shard may get none. Each lease that finds its shard
+  /// held by another caller bumps \p ShardWaits (optional, not owned).
+  explicit ExecCache(size_t TotalEntries = 1 << 15, size_t NumShards = 1,
+                     obs::Counter *ShardWaits = nullptr);
+  /// Leases point into the shards, so the cache never moves.
+  ExecCache(const ExecCache &) = delete;
+  ExecCache &operator=(const ExecCache &) = delete;
 
   size_t numShards() const { return Shards.size(); }
 
-  /// The shard every request with content fingerprint \p Fp must use.
-  size_t shardIndex(uint64_t Fp) const {
+  /// The shard every run with route fingerprint \p RouteFp must use.
+  size_t shardIndex(uint64_t RouteFp) const {
     // Fingerprints are already well-mixed hashes; fold the halves so a
     // power-of-two shard count still sees the high bits.
-    return static_cast<size_t>((Fp ^ (Fp >> 32)) % Shards.size());
+    return static_cast<size_t>((RouteFp ^ (RouteFp >> 32)) %
+                               Shards.size());
   }
 
-  ExecCache &shard(size_t I) { return *Shards[I]; }
-  const ExecCache &shard(size_t I) const { return *Shards[I]; }
+  /// Locks and returns the shard for \p RouteFp, blocking while another
+  /// lease holds it.
+  Lease lease(uint64_t RouteFp);
 
-  /// Serializes same-shard requests: lock for the whole synthesize()
-  /// call that uses shard(I) — that is what makes the per-shard
-  /// exclusivity contract hold under a concurrent dispatcher.
-  std::mutex &shardMutex(size_t I) { return Mutexes[I]; }
+  const Shard &shard(size_t I) const { return Shards[I]; }
 
-  size_t size() const {
-    size_t N = 0;
-    for (const auto &S : Shards)
-      N += S->size();
-    return N;
-  }
-  size_t capacity() const {
-    size_t N = 0;
-    for (const auto &S : Shards)
-      N += S->capacity();
-    return N;
-  }
-
-  /// Summed lifetime counters across shards (each shard's snapshot is
+  size_t size() const;
+  size_t capacity() const;
+  /// Lifetime counters summed across shards (each shard's snapshot is
   /// individually consistent; the sum is not a global cut).
-  ExecCache::Stats stats() const {
-    ExecCache::Stats T;
-    for (const auto &S : Shards) {
-      ExecCache::Stats P = S->stats();
-      T.Lookups += P.Lookups;
-      T.Hits += P.Hits;
-      T.Inserts += P.Inserts;
-      T.RejectedFull += P.RejectedFull;
-    }
-    return T;
-  }
+  Stats stats() const;
 
 private:
-  std::vector<std::unique_ptr<ExecCache>> Shards;
-  /// Deque-free stable addresses: mutexes are neither movable nor
-  /// copyable, so the vector is sized once in the ctor.
-  std::vector<std::mutex> Mutexes;
+  /// Sized once in the ctor: shards hold a mutex and never move.
+  std::vector<Shard> Shards;
+  obs::Counter *ShardWaits;
 };
+
+/// The fingerprint a run routes by: its module before enforcement and its
+/// clients, the identity every ExecKey of the run embeds.
+uint64_t routeFingerprint(uint64_t ModuleFp,
+                          const std::vector<uint64_t> &ClientFps);
 
 } // namespace dfence::cache
 

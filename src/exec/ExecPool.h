@@ -66,7 +66,7 @@ unsigned resolveJobs(unsigned Requested);
 /// 0 for the runOrdered caller (and for any thread never owned by a
 /// pool), 1..W-1 for the slice's spawned workers. Thread-local; valid
 /// inside Body callbacks, where instrumentation uses it as the counter
-/// shard and the check-cache shard.
+/// shard and runRound to pick the worker's persistent ExecContext.
 unsigned currentWorker();
 
 /// A contiguous, exclusively-leased partition of an ExecPool: its own

@@ -193,9 +193,8 @@ public:
   }
 
   /// Advisory cache configuration ("on"/"off") stamped into captured
-  /// bundles, so a repro records whether the run it came from had the
-  /// result caches enabled. (Capture itself disables the execution
-  /// cache, but the check cache still runs under --cache=on.)
+  /// bundles, so a repro records the run's --cache setting. (Capture
+  /// itself disables the execution cache.)
   void setCacheInfo(std::string Mode) { CacheMode = std::move(Mode); }
 
   /// Advisory originating-request identifier stamped into captured

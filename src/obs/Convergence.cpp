@@ -16,8 +16,6 @@ Json obs::roundRecordJson(const RoundRecord &R) {
   O.set("cleanStreak", Json::number(static_cast<uint64_t>(R.CleanStreak)));
   O.set("truncated", Json::boolean(R.Truncated));
   Json Cache = Json::object();
-  Cache.set("checkHits", Json::number(R.CheckCacheHits));
-  Cache.set("checkMisses", Json::number(R.CheckCacheMisses));
   Cache.set("execHits", Json::number(R.ExecCacheHits));
   Cache.set("execMisses", Json::number(R.ExecCacheMisses));
   O.set("cache", std::move(Cache));

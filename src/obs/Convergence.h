@@ -43,8 +43,6 @@ struct RoundRecord {
   bool Truncated = false;       ///< Round cut short by a budget/deadline.
 
   // Cache effectiveness (jobs-invariant; differ between cache modes).
-  uint64_t CheckCacheHits = 0;
-  uint64_t CheckCacheMisses = 0;
   uint64_t ExecCacheHits = 0;
   uint64_t ExecCacheMisses = 0;
 

@@ -367,8 +367,6 @@ Json serve::resultToJson(const synth::SynthResult &R, bool IncludeModule) {
 
 Json serve::cacheStatsToJson(const synth::SynthResult &R) {
   Json J = Json::object();
-  J.set("checkHits", Json::number(R.CheckCacheHits));
-  J.set("checkMisses", Json::number(R.CheckCacheMisses));
   J.set("execHits", Json::number(R.ExecCacheHits));
   J.set("execMisses", Json::number(R.ExecCacheMisses));
   return J;

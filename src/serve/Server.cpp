@@ -3,7 +3,6 @@
 #include "serve/Server.h"
 
 #include "synth/StaticBaseline.h"
-#include "vm/History.h"
 
 #include <chrono>
 #include <fstream>
@@ -52,17 +51,6 @@ unsigned resolveSlotJobs(const ServeConfig &C) {
   return Per ? Per : 1;
 }
 
-/// The content fingerprint that routes a request to its cache shard:
-/// module + clients, exactly the identity the ExecCache keys embed — so
-/// a repeated request always lands on the shard holding its warm
-/// entries, independent of which slot runs it.
-uint64_t requestFingerprint(const SynthJob &Job) {
-  uint64_t Fp = cache::fingerprintModule(Job.M);
-  for (const vm::Client &C : Job.Clients)
-    Fp = vm::hashCombine(Fp, cache::fingerprintClient(C));
-  return Fp;
-}
-
 } // namespace
 
 Server::Server(const ServeConfig &C)
@@ -70,7 +58,9 @@ Server::Server(const ServeConfig &C)
       Obs(C.Obs ? C.Obs : &OwnObs),
       Reg((C.Obs && C.Obs->Metrics) ? *C.Obs->Metrics : OwnReg),
       NumSlots(resolveSlots(C)), SlotJobs(resolveSlotJobs(C)),
-      Pool(NumSlots, SlotJobs), Cache(NumSlots, C.CacheCapacity),
+      Pool(NumSlots, SlotJobs),
+      Cache(C.CacheCapacity, NumSlots,
+            &Reg.counter("cache_shard_waits_total")),
       Queue(C.QueueCapacity),
       RequestsC(Reg.counter("serve_requests_total")),
       AdmittedC(Reg.counter("serve_admitted_total")),
@@ -327,11 +317,12 @@ Json Server::runJob(Pending &P, unsigned Slot) {
 
   // Stamp the server's execution environment. Semantic knobs came from
   // the request (prepareJob mirrors the CLI); only the *where it runs*
-  // part is ours: an exclusively leased pool slice, the fingerprint-
-  // routed cache shard, observability, and the deadline cap on the
-  // total wall budget. Capping TotalWallMs cannot change a run that
-  // finishes in time (watchdog purity), which is what keeps daemon
-  // results byte-identical to the one-shot CLI.
+  // part is ours: an exclusively leased pool slice, the shared execution
+  // cache (synthesize() leases the shard the request routes to),
+  // observability, and the deadline cap on the total wall budget.
+  // Capping TotalWallMs cannot change a run that finishes in time
+  // (watchdog purity), which is what keeps daemon results byte-identical
+  // to the one-shot CLI.
   exec::PoolSlice *Slice = Pool.lease();
   // One slice per slot by construction, so a lease is always available.
   assert(Slice && "slot without a free slice");
@@ -340,24 +331,8 @@ Json Server::runJob(Pending &P, unsigned Slot) {
   Job->Cfg.Jobs = Slice->jobs();
   Job->Cfg.Obs = Obs;
 
-  // Cache shard: routed by content fingerprint and held (its mutex) for
-  // the whole run — the ExecCache exclusivity contract, per shard.
-  // Same-shard requests serialize here; the wait counter is the
-  // contention signal.
-  std::unique_lock<std::mutex> ShardLock;
-  if (!(Cfg.CacheEnabled && Job->Cfg.CacheEnabled)) {
-    Job->Cfg.CacheEnabled = false;
-  } else {
-    size_t Shard = Cache.shardIndex(requestFingerprint(*Job));
-    ShardLock = std::unique_lock<std::mutex>(Cache.shardMutex(Shard),
-                                             std::try_to_lock);
-    if (!ShardLock.owns_lock()) {
-      ShardWaitsC.add(1);
-      ShardLock.lock();
-    }
-    Job->Cfg.ExecResultCache = &Cache.shard(Shard);
-    S.arg("cacheShard", static_cast<uint64_t>(Shard));
-  }
+  Job->Cfg.CacheEnabled = Cfg.CacheEnabled && Job->Cfg.CacheEnabled;
+  Job->Cfg.ExecResultCache = &Cache;
   // Requests that chose a dispatch mode keep it (prepareJob applied it);
   // the rest inherit the server default.
   if (P.Req.Dispatch.empty())
@@ -559,7 +534,7 @@ Json Server::statsJson() const {
   // Shard-level occupancy: which shards actually hold warm entries.
   Json Shards = Json::array();
   for (size_t I = 0; I < Cache.numShards(); ++I) {
-    const cache::ExecCache &Sh = Cache.shard(I);
+    const cache::ExecCache::Shard &Sh = Cache.shard(I);
     Json SJ = Json::object();
     SJ.set("shard", Json::number(static_cast<uint64_t>(I)));
     SJ.set("entries", Json::number(static_cast<uint64_t>(Sh.size())));

@@ -3,7 +3,7 @@
 // A long-lived Server owns the expensive, warm state one-shot runs throw
 // away — one partitioned exec::ExecPool (persistent workers + per-worker
 // ExecContexts, split into exclusively-leasable slices), one sharded
-// cross-request cache::ShardedExecCache, one metrics registry — and N
+// cross-request cache::ExecCache, one metrics registry — and N
 // dispatcher *slots*, each a thread that pops admitted requests off a
 // two-level priority queue, leases a pool slice, and runs the request
 // against it. Requests overlap across slots; parallelism *within* a
@@ -13,11 +13,10 @@
 // Concurrency model (see docs/SERVICE.md):
 //   * one slice per slot — concurrent synthesize() calls never share
 //     batch state, per-worker contexts, or observability handles;
-//   * the execution cache is sharded by request content fingerprint; a
-//     request holds its shard's mutex for its whole run, so the cache's
-//     "never used by concurrent synthesize() calls" contract becomes a
-//     per-shard invariant (same-shard requests serialize, repeat
-//     requests always find their warm shard regardless of scheduling);
+//   * the execution cache has one shard per slot; synthesize() routes a
+//     request to its shard by content fingerprint and leases it for the
+//     whole run (same-shard requests serialize, repeat requests always
+//     find their warm shard regardless of scheduling);
 //   * determinism is unchanged: a request's canonical result is
 //     byte-identical to the one-shot CLI run of the same request —
 //     results are jobs-invariant and cache hits replay recorded results,
@@ -161,7 +160,6 @@ public:
   unsigned jobs() const { return Pool.jobs(); }
   unsigned slots() const { return NumSlots; }
   unsigned jobsPerSlot() const { return SlotJobs; }
-  cache::ShardedExecCache &execCache() { return Cache; }
 
 private:
   void dispatcherMain(unsigned Slot);
@@ -184,7 +182,7 @@ private:
   unsigned NumSlots;              ///< Resolved dispatcher slot count.
   unsigned SlotJobs;              ///< Resolved slice width per slot.
   exec::ExecPool Pool;            ///< NumSlots slices × SlotJobs workers.
-  cache::ShardedExecCache Cache;  ///< One shard per slot's worth of work.
+  cache::ExecCache Cache;         ///< One shard per slot's worth of work.
   AdmissionQueue Queue;
 
   // Pre-resolved serve metrics (always non-null; Reg outlives them).

@@ -2,7 +2,6 @@
 
 #include "synth/Synthesizer.h"
 
-#include "cache/CheckCache.h"
 #include "cache/ExecCache.h"
 #include "exec/ExecPool.h"
 #include "exec/RoundRunner.h"
@@ -22,7 +21,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 using namespace dfence;
 using namespace dfence::synth;
@@ -258,12 +256,7 @@ SynthResult synth::synthesize(const ir::Module &M,
   obs::Counter *SatPropsC =
       obs::counterOrNull(Cfg.Obs, "sat_propagations_total");
   // Cache counters count merge-thread events only (see the fold loop), so
-  // they are jobs-invariant like every other counter; per-worker shard
-  // totals are inherently jobs-dependent and go to gauges at end of run.
-  obs::Counter *CacheCheckHitsC =
-      obs::counterOrNull(Cfg.Obs, "cache_check_hits");
-  obs::Counter *CacheCheckMissesC =
-      obs::counterOrNull(Cfg.Obs, "cache_check_misses");
+  // they are jobs-invariant like every other counter.
   obs::Counter *CacheExecHitsC =
       obs::counterOrNull(Cfg.Obs, "cache_exec_hits");
   obs::Counter *CacheExecMissesC =
@@ -350,36 +343,22 @@ SynthResult synth::synthesize(const ir::Module &M,
   exec::PoolSlice &Slice = *SliceP;
   Slice.setObs(Cfg.Obs);
 
-  // Result caches (src/cache/). Verdict memoization only pays for specs
-  // with a non-trivial history check; the cross-round execution cache is
-  // only sound when a slot's result is a pure function of its key — no
-  // wall-clock watchdog (timeouts depend on machine load), no fault plan
-  // (the plan is keyed by pointer, not content), and no bundle capture
-  // (cached summaries carry no history or trace to capture from).
-  bool CheckCaching = Cfg.CacheEnabled &&
-                      (Cfg.Spec == SpecKind::NoGarbage ||
-                       Cfg.Spec == SpecKind::SequentialConsistency ||
-                       Cfg.Spec == SpecKind::Linearizability);
+  // The execution cache (src/cache/) is only sound when a slot's result
+  // is a pure function of its key — no wall-clock watchdog (timeouts
+  // depend on machine load), no fault plan (the plan is keyed by pointer,
+  // not content), and no bundle capture (cached summaries carry no
+  // history or trace to capture from).
   bool ExecCaching = Cfg.CacheEnabled && !Cfg.CaptureBundles &&
                      !Cfg.Faults.enabled() && Cfg.Exec.ExecWallMs == 0;
   std::optional<cache::ExecCache> OwnedExecCache;
-  cache::ExecCache *ExecC = nullptr;
-  if (ExecCaching) {
-    ExecC = Cfg.ExecResultCache;
-    if (!ExecC) {
-      OwnedExecCache.emplace();
-      ExecC = &*OwnedExecCache;
-    }
-  }
-  std::optional<cache::CheckCache> CheckC;
-  if (CheckCaching)
-    CheckC.emplace(Slice.jobs());
+  cache::ExecCache::Lease CacheLease;
+  cache::ExecCache::Shard *CacheShard = nullptr;
 
   // Cross-round cache keys: fingerprints of everything a slot's result
   // depends on beyond its ExecConfig. The module fingerprint is
   // recomputed after every enforcement (fences change the program).
   RunFingerprints FP;
-  FP.Cacheable = ExecC != nullptr;
+  FP.Cacheable = ExecCaching;
   if (FP.Cacheable) {
     FP.ModuleFp = cache::fingerprintModule(Cur);
     FP.ClientFps.reserve(Clients.size());
@@ -387,11 +366,21 @@ SynthResult synth::synthesize(const ir::Module &M,
       FP.ClientFps.push_back(cache::fingerprintClient(C));
     uint64_t GrowthBits;
     std::memcpy(&GrowthBits, &Cfg.Exec.StepBudgetGrowth, sizeof(double));
-    uint64_t PH = vm::hashCombine(0x9216d5d98979fb1bULL,
-                                  Cfg.Exec.ExecWallMs);
-    PH = vm::hashCombine(PH, Cfg.Exec.MaxRetries);
-    PH = vm::hashCombine(PH, GrowthBits);
-    FP.PolicyFp = vm::hashCombine(PH, Cfg.Exec.RetrySeedSalt);
+    uint64_t PH = cache::hashCombine(0x9216d5d98979fb1bULL,
+                                     Cfg.Exec.ExecWallMs);
+    PH = cache::hashCombine(PH, Cfg.Exec.MaxRetries);
+    PH = cache::hashCombine(PH, GrowthBits);
+    FP.PolicyFp = cache::hashCombine(PH, Cfg.Exec.RetrySeedSalt);
+    // Lease the shard this program routes to for the whole run: it is
+    // frozen while a round is in flight and mutated only between rounds
+    // on this thread, and no concurrent run may touch it meanwhile.
+    cache::ExecCache *Shared = Cfg.ExecResultCache;
+    if (!Shared)
+      Shared = &OwnedExecCache.emplace();
+    CacheLease =
+        Shared->lease(cache::routeFingerprint(FP.ModuleFp, FP.ClientFps));
+    CacheShard = &*CacheLease;
+    RunSpan.arg("cacheShard", static_cast<uint64_t>(CacheLease.index()));
   }
 
   // Resolve the clients against the working module once up front; every
@@ -439,8 +428,6 @@ SynthResult synth::synthesize(const ir::Module &M,
         RR.FencesEnforced = S.FencesEnforced;
         RR.CleanStreak = S.CleanStreak;
         RR.Truncated = S.Truncated;
-        RR.CheckCacheHits = S.CheckCacheHits;
-        RR.CheckCacheMisses = S.CheckCacheMisses;
         RR.ExecCacheHits = S.ExecCacheHits;
         RR.ExecCacheMisses = S.ExecCacheMisses;
         RR.SatClauses = S.SatClauses;
@@ -472,29 +459,24 @@ SynthResult synth::synthesize(const ir::Module &M,
         return TotalBudget.expired(Watch) ||
                RoundBudget.expired(RoundWatch);
       };
-    // The check cache is round-scoped (verdicts memoize per program
-    // generation; enforcement between rounds changes the program). The
-    // execution cache is frozen for the duration of the round — workers
-    // only read it; new summaries are inserted below on this thread, and
-    // the pool's dispatch/join barriers order those writes before the
-    // next round's reads.
-    if (CheckC)
-      CheckC->beginRound();
+    // The execution cache is frozen for the duration of the round —
+    // workers only read it; new summaries are inserted below on this
+    // thread, and the pool's dispatch/join barriers order those writes
+    // before the next round's reads.
     exec::RoundResult RR = exec::runRound(
         Slice, *Prepared, Plan, Cfg.Exec,
         [&Cfg](const vm::ExecResult &R) { return checkExecution(R, Cfg); },
-        StopFn, Cfg.Obs,
-        exec::RoundCaches{CheckC ? &*CheckC : nullptr, ExecC}, RoundDL);
+        StopFn, Cfg.Obs, CacheShard, RoundDL);
     // Populate the execution cache from this round's fresh results before
     // the fold below moves repair disjunctions out of the slots. Index
     // order + the deterministic capacity cap keep the cache's contents —
     // and therefore every later round's hit pattern — jobs-invariant.
-    if (ExecC)
+    if (CacheShard)
       for (size_t I = 0; I != RR.Ran; ++I) {
         const exec::ExecPlan &P = Plan.Slots[I];
         const exec::RoundSlot &S = RR.Slots[I];
         if (P.Cacheable && !S.FromExecCache && !S.SE.TimedOut)
-          ExecC->insert(P.Key, makeSummary(S.SE, S.Violation));
+          CacheShard->insert(P.Key, makeSummary(S.SE, S.Violation));
       }
     // Budget expiry cancels the slots that had not started; the executed
     // prefix [0, Ran) truncates at a deterministic index boundary,
@@ -509,13 +491,6 @@ SynthResult synth::synthesize(const ir::Module &M,
     // implicated functions, repair formula — comes out of this loop in
     // the same order the sequential engine produced it.
     std::vector<std::vector<OrderingPredicate>> ViolationRepairs;
-    // Jobs-invariant check-cache accounting: rather than summing the
-    // per-worker shard hits (which depend on how slots landed on
-    // workers), replay what a sequential single-shard cache would have
-    // served — the first slot carrying each distinct Completed history
-    // is a miss, every later duplicate a hit, collisions excluded by the
-    // same full-history compare the real cache performs.
-    std::unordered_map<uint64_t, size_t> SeenHists;
     auto FoldT0 = std::chrono::steady_clock::now();
     OBS_SPAN(FoldSpan, Trace, "fold", "synth", 0);
     for (size_t I = 0; I != RR.Ran; ++I) {
@@ -547,19 +522,6 @@ SynthResult synth::synthesize(const ir::Module &M,
         ++Result.ExecCacheMisses;
         ++Stats.ExecCacheMisses;
         OBS_COUNT(CacheExecMissesC, 1);
-      }
-      if (CheckC && !RR.Slots[I].FromExecCache && !SE.Discarded &&
-          R.Out == vm::Outcome::Completed) {
-        auto [It, New] = SeenHists.try_emplace(R.Hist.Hash, I);
-        if (!New && RR.Slots[It->second].SE.Result.Hist == R.Hist) {
-          ++Result.CheckCacheHits;
-          ++Stats.CheckCacheHits;
-          OBS_COUNT(CacheCheckHitsC, 1);
-        } else {
-          ++Result.CheckCacheMisses;
-          ++Stats.CheckCacheMisses;
-          OBS_COUNT(CacheCheckMissesC, 1);
-        }
       }
 
       if (SE.Discarded) {
@@ -797,19 +759,9 @@ SynthResult synth::synthesize(const ir::Module &M,
     Reg.counter("harness_retries_total").add(Sup.stats().Retries);
     Reg.counter("harness_discarded_total").add(Sup.stats().Discarded);
     Reg.counter("harness_timeouts_total").add(Sup.stats().TimedOut);
-    // Worker-shard cache totals are jobs-dependent (they depend on which
-    // worker ran which slot), so they are exported as gauges, which stay
-    // out of countersJson and the bundle snapshot by design.
-    if (CheckC) {
-      cache::CheckCache::Totals T = CheckC->totals();
-      Reg.gauge("cache_check_worker_hits")
-          .set(static_cast<double>(T.Hits));
-      Reg.gauge("cache_check_worker_misses")
-          .set(static_cast<double>(T.Misses));
-    }
-    if (ExecC)
+    if (CacheShard)
       Reg.gauge("cache_exec_entries")
-          .set(static_cast<double>(ExecC->size()));
+          .set(static_cast<double>(CacheShard->size()));
     // Per-model execution throughput of this run. Wall-clock derived, so
     // a gauge (jobs-variant; stays out of countersJson and the bundle
     // snapshot), named by the run's model so a mixed-model service

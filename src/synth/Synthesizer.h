@@ -150,20 +150,19 @@ struct SynthConfig {
 
   //===--- Result caching (see src/cache/) ---===//
 
-  /// Master switch for the result caches (`dfence --cache on|off`). On by
-  /// default. The caches are invisible in results by construction — the
-  /// check cache re-verifies hash hits with a full history compare, and
-  /// the execution cache only serves keys that pin every input of a pure
+  /// Master switch for the cross-round execution cache (`dfence --cache
+  /// on|off`). On by default. The cache is invisible in results by
+  /// construction — it only serves keys that pin every input of a pure
   /// execution — so SynthResult and the deterministic counter snapshot
   /// are byte-identical with caching on or off, at any Jobs value
   /// (CacheDifferentialTest is the gate).
   bool CacheEnabled = true;
-  /// Optional externally owned cross-round execution cache, shared across
+  /// Optional externally owned execution cache, shared across
   /// synthesize() calls so re-verifying an unchanged program (same base
   /// seed, clients and knobs) skips whole executions. Not owned; when
   /// null and caching is on, the run uses a private cache. synthesize()
-  /// mutates it between rounds on its merge thread — do not share one
-  /// instance across concurrent synthesize() calls.
+  /// leases the shard its module and clients route to and holds it for
+  /// the whole call, so concurrent calls may share one instance.
   cache::ExecCache *ExecResultCache = nullptr;
 
   //===--- Observability (see src/obs/) ---===//
@@ -208,7 +207,7 @@ const char *synthStatusName(SynthStatus S);
 /// the flight recorder's convergence telemetry). Fields up to and
 /// including SatPropagations are deterministic — byte-identical at any
 /// --jobs width and either dispatch mode, and (except the cache hit/miss
-/// split) across cache modes; the canonical result serialization
+/// counts) across cache modes; the canonical result serialization
 /// (serve::resultToJson) carries only that deterministic, cache-invariant
 /// subset. The wall-clock fields at the end are machine-dependent and
 /// only ever reach the round log file and the phase histograms.
@@ -227,8 +226,6 @@ struct RoundStats {
   bool Truncated = false;   ///< Cut short by a budget/deadline.
   /// Per-round cache effectiveness (jobs-invariant; cache-mode variant —
   /// the run-level totals' per-round split).
-  uint64_t CheckCacheHits = 0;
-  uint64_t CheckCacheMisses = 0;
   uint64_t ExecCacheHits = 0;
   uint64_t ExecCacheMisses = 0;
   /// SAT effort of this round's solve; all zero when no solve ran.
@@ -278,10 +275,6 @@ struct SynthResult {
   //===--- The only SynthResult fields allowed to differ between cache=on
   //===--- and cache=off runs. ---===//
 
-  /// Duplicate Completed histories per round (what a sequential run's
-  /// check cache serves as hits), counted on the merge thread.
-  uint64_t CheckCacheHits = 0;
-  uint64_t CheckCacheMisses = 0;
   /// Executions served from / missed in the cross-round ExecCache.
   uint64_t ExecCacheHits = 0;
   uint64_t ExecCacheMisses = 0;

@@ -275,7 +275,6 @@ void ExecContext::startNextCall(Thread &T) {
   Op.InvokeSeq = ++Seq;
   size_t OpIndex = Result->Hist.Ops.size();
   Result->Hist.Ops.push_back(std::move(Op));
-  Result->Hist.Hash += hashInvokeEvent(OpIndex, Result->Hist.Ops[OpIndex]);
 
   Thread::Frame &Fr = T.pushFrame(F, P->frameSize(F));
   for (size_t I = 0; I != ArgScratch.size(); ++I)
@@ -682,7 +681,6 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
       Op.Ret = RetVal;
       Op.RespondSeq = ++Seq;
       Op.Completed = true;
-      Result->Hist.Hash += hashResponseEvent(OpIndex, RetVal, Op.RespondSeq);
       T.CallResults.push_back(RetVal);
     }
     return true;
@@ -904,7 +902,6 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
   // Reset the result in place (a reused ExecResult keeps its capacities).
   Out.Out = Outcome::Completed;
   Out.Hist.Ops.clear();
-  Out.Hist.Hash = 0;
   Out.Stats = ExecStats{};
   Out.Repairs.clear();
   Out.Message.clear();

@@ -219,10 +219,20 @@ TEST(CliObsSmokeTest, ServeFlagsGoThroughTheSameParser) {
   EXPECT_EQ(Exit, 2);
   EXPECT_NE(Out.find("takes no value"), std::string::npos) << Out;
   // Bad serve option values are caught before the server spins up.
-  Exit = runCommand(std::string(DFENCE_BIN) + " serve --cache=maybe",
-                    Out);
-  EXPECT_EQ(Exit, 2);
-  EXPECT_NE(Out.find("--cache"), std::string::npos) << Out;
+  struct {
+    const char *Flags;
+    const char *Needle;
+  } Cases[] = {
+      {"--cache=maybe", "--cache"},
+      {"--cache-capacity -1", "--cache-capacity"},
+  };
+  for (const auto &Case : Cases) {
+    Exit = runCommand(std::string(DFENCE_BIN) + " serve " + Case.Flags,
+                      Out);
+    EXPECT_EQ(Exit, 2) << Case.Flags << ": " << Out;
+    EXPECT_NE(Out.find(Case.Needle), std::string::npos)
+        << Case.Flags << ": " << Out;
+  }
 }
 
 TEST(CliObsSmokeTest, ContradictorySlotFlagsExitTwo) {

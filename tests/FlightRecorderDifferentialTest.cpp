@@ -13,7 +13,7 @@
 //     when it is on and (for the per-opcode step counters) are not
 //     exec-cache-invariant, hence the dedicated prefix,
 //
-// at jobs 1 and 8, with the caches on and off, under both interpreter
+// at jobs 1 and 8, with the cache on and off, under both interpreter
 // dispatch modes. The obs_* counters themselves are jobs-invariant (the
 // multiset of executed slots does not depend on the pool width), which
 // the cache-off comparison pins.

@@ -39,6 +39,12 @@ struct PrecedenceCase {
   int64_t Expected;
 };
 
+// Without this, gtest names each case after the raw bytes of the struct,
+// which include the load address of Expr and so change from build to build.
+void PrintTo(const PrecedenceCase &C, std::ostream *OS) {
+  *OS << C.Expr << " -> " << C.Expected;
+}
+
 class PrecedenceTest : public ::testing::TestWithParam<PrecedenceCase> {};
 
 TEST_P(PrecedenceTest, MatchesC) {

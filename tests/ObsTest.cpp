@@ -520,8 +520,6 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
   R.FencesEnforced = 5;
   R.CleanStreak = 0;
   R.Truncated = false;
-  R.CheckCacheHits = 10;
-  R.CheckCacheMisses = 140;
   R.ExecCacheHits = 20;
   R.ExecCacheMisses = 130;
   R.SatClauses = 4;
@@ -536,8 +534,7 @@ TEST(ConvergenceTest, RoundRecordJsonShapeIsPinned) {
       "{\"round\":3,\"executions\":150,\"violations\":4,"
       "\"newPredicates\":2,\"distinctPredicates\":11,\"fences\":5,"
       "\"cleanStreak\":0,\"truncated\":false,"
-      "\"cache\":{\"checkHits\":10,\"checkMisses\":140,"
-      "\"execHits\":20,\"execMisses\":130},"
+      "\"cache\":{\"execHits\":20,\"execMisses\":130},"
       "\"sat\":{\"clauses\":4,\"models\":2,\"conflicts\":1,"
       "\"decisions\":9,\"propagations\":33,\"solveUs\":120},"
       "\"roundWallUs\":4500}");

