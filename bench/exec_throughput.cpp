@@ -13,12 +13,21 @@
 // and the binary exits nonzero if they don't, or if specialized is
 // slower than generic (beyond a noise margin) on any model's aggregate.
 //
-// Emits BENCH_exec.json (schema "dfence-exec-throughput-v1", version 2:
-// per-model entries gained generic_seconds / generic_execs_per_sec /
-// speedup_vs_generic). Pass a number to scale the per-(subject, model)
-// execution count (default 300); pass "--smoke" for a small run that
-// validates the pipeline and the two guards above — what the
-// bench_exec_smoke ctest entry asserts.
+// A single pass over a cell runs in a few tens of milliseconds, too short
+// to time once. So each (subject, model) cell repeats its pass, the two
+// dispatch modes alternating, until each mode has run for at least
+// MinCellSeconds (0.5 s, and at least MinReps passes), and a cell's time
+// is the median pass time of that mode. Every pass of a cell runs the
+// same seeds, so the step count of a pass is fixed; any pass that
+// disagrees is a determinism bug and fails the run.
+//
+// Emits BENCH_exec.json (schema "dfence-exec-throughput-v1", version 3:
+// seconds fields are sums of per-cell median pass times; per-model
+// entries gained passes). Pass a number to scale the per-(subject, model)
+// execution count per pass (default 300); pass "--smoke" for a small
+// run (three passes per cell, no time floor) that validates the pipeline
+// and the two guards above — what the bench_exec_smoke ctest entry
+// asserts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +43,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace dfence;
 using vm::DispatchMode;
@@ -57,9 +67,16 @@ const Subject Subjects[] = {
 struct ModelRate {
   uint64_t Execs = 0;
   uint64_t Steps = 0;
-  double Seconds = 0;        ///< Specialized-dispatch wall time.
-  double GenericSeconds = 0; ///< Generic-dispatch wall time, same work.
+  uint64_t Passes = 0;       ///< Timed passes per mode, all cells.
+  double Seconds = 0;        ///< Specialized-dispatch median pass times.
+  double GenericSeconds = 0; ///< Generic-dispatch median pass times.
 };
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t N = V.size();
+  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
+}
 
 /// Runs the cell's executions under \p Dispatch, returning wall seconds
 /// and accumulating interpreter steps into \p Steps. Same seeds and
@@ -89,12 +106,15 @@ double timeCell(vm::ExecContext &Ctx, const vm::PreparedProgram &Prog,
 int main(int Argc, char **Argv) {
   unsigned ExecsPer = 300;
   bool Smoke = false;
+  double MinCellSeconds = 0.5;
+  const unsigned MinReps = 3;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Smoke = true;
       // Large enough that the not-slower guard below sits above timer
       // noise while the smoke entry stays sub-second.
       ExecsPer = 60;
+      MinCellSeconds = 0;
     } else {
       ExecsPer = static_cast<unsigned>(std::atoi(Argv[I]));
       if (ExecsPer == 0)
@@ -105,9 +125,10 @@ int main(int Argc, char **Argv) {
   const MemModel Models[] = {MemModel::SC, MemModel::TSO, MemModel::PSO};
   ModelRate Rates[3];
 
-  std::printf("Execution core throughput (%u execs per subject/model, "
-              "generic vs specialized dispatch)\n\n",
-              ExecsPer);
+  std::printf("Execution core throughput (%u execs per pass, passes "
+              "repeated to >= %.1f s per subject/model/dispatch, median "
+              "pass; generic vs specialized dispatch)\n\n",
+              ExecsPer, MinCellSeconds);
   std::printf("%-16s %5s %10s %12s %14s %9s\n", "subject", "model",
               "seconds", "execs/s", "steps/s", "vs gen");
 
@@ -124,42 +145,43 @@ int main(int Argc, char **Argv) {
 
     for (size_t MI = 0; MI != 3; ++MI) {
       MemModel Model = Models[MI];
-      // Generic first (it also warms the context's capacities for the
-      // specialized timing; ordering favors the baseline, not us). At
-      // smoke sizes a cell is sub-millisecond and a single scheduler
-      // preemption can swing the ratio several-fold, so smoke takes the
-      // best of three interleaved passes per mode — the work is
-      // deterministic, making the minimum the least-noisy estimate.
-      const unsigned Passes = Smoke ? 3 : 1;
+      // Passes alternate generic and specialized (generic first: it
+      // also warms the context's capacities, so ordering favors the
+      // baseline, not us) until both modes have MinCellSeconds of timed
+      // work; the median pass is the cell's time.
       uint64_t GenSteps = 0, SpecSteps = 0;
-      double GenSecs = 0, SpecSecs = 0;
-      for (unsigned Pass = 0; Pass != Passes; ++Pass) {
+      std::vector<double> GenTimes, SpecTimes;
+      double GenTotal = 0, SpecTotal = 0;
+      while (GenTimes.size() < MinReps || GenTotal < MinCellSeconds ||
+             SpecTotal < MinCellSeconds) {
         uint64_t GS = 0, SS = 0;
-        double G = timeCell(Ctx, Prog, Model, DispatchMode::Generic,
-                            ExecsPer, GS);
-        double Sp = timeCell(Ctx, Prog, Model, DispatchMode::Specialized,
-                             ExecsPer, SS);
-        if (Pass == 0) {
+        GenTimes.push_back(timeCell(Ctx, Prog, Model,
+                                    DispatchMode::Generic, ExecsPer, GS));
+        SpecTimes.push_back(timeCell(Ctx, Prog, Model,
+                                     DispatchMode::Specialized, ExecsPer,
+                                     SS));
+        GenTotal += GenTimes.back();
+        SpecTotal += SpecTimes.back();
+        if (GenTimes.size() == 1) {
           GenSteps = GS;
           SpecSteps = SS;
-          GenSecs = G;
-          SpecSecs = Sp;
-        } else {
-          GenSecs = std::min(GenSecs, G);
-          SpecSecs = std::min(SpecSecs, Sp);
+        }
+        // Hard equivalence check: the modes are one interpreter
+        // template and every pass runs the same seeds; any divergence
+        // in steps is a semantics bug, not noise.
+        if (GS != GenSteps || SS != SpecSteps || GenSteps != SpecSteps) {
+          std::fprintf(stderr,
+                       "step divergence on %s/%s: generic ran %llu "
+                       "steps, specialized %llu (first pass %llu)\n",
+                       S.Bench, vm::memModelName(Model),
+                       static_cast<unsigned long long>(GS),
+                       static_cast<unsigned long long>(SS),
+                       static_cast<unsigned long long>(GenSteps));
+          return 1;
         }
       }
-      // Hard equivalence check: the modes are one interpreter template;
-      // any divergence in total steps is a semantics bug, not noise.
-      if (GenSteps != SpecSteps) {
-        std::fprintf(stderr,
-                     "dispatch divergence on %s/%s: generic ran %llu "
-                     "steps, specialized %llu\n",
-                     S.Bench, vm::memModelName(Model),
-                     static_cast<unsigned long long>(GenSteps),
-                     static_cast<unsigned long long>(SpecSteps));
-        return 1;
-      }
+      double GenSecs = median(GenTimes);
+      double SpecSecs = median(SpecTimes);
       std::printf("%-16s %5s %10.3f %12.0f %14.0f %8.2fx\n", S.Bench,
                   vm::memModelName(Model), SpecSecs,
                   SpecSecs > 0 ? ExecsPer / SpecSecs : 0,
@@ -168,6 +190,7 @@ int main(int Argc, char **Argv) {
                   SpecSecs > 0 ? GenSecs / SpecSecs : 0);
       Rates[MI].Execs += ExecsPer;
       Rates[MI].Steps += SpecSteps;
+      Rates[MI].Passes += SpecTimes.size();
       Rates[MI].Seconds += SpecSecs;
       Rates[MI].GenericSeconds += GenSecs;
     }
@@ -175,11 +198,12 @@ int main(int Argc, char **Argv) {
 
   Json Doc = Json::object();
   Doc.set("schema", Json::string("dfence-exec-throughput-v1"));
-  Doc.set("schema_version", Json::number(uint64_t(2)));
+  Doc.set("schema_version", Json::number(uint64_t(3)));
   Doc.set("execs_per_subject", Json::number(uint64_t(ExecsPer)));
+  Doc.set("min_cell_seconds", Json::number(MinCellSeconds));
   Json JModels = Json::array();
-  std::printf("\naggregate over %zu subjects (specialized dispatch; "
-              "speedup vs generic):\n",
+  std::printf("\naggregate over %zu subjects (specialized dispatch, "
+              "sums of median pass times; speedup vs generic):\n",
               sizeof(Subjects) / sizeof(Subjects[0]));
   std::printf("%5s %10s %12s %14s %9s\n", "model", "seconds", "execs/s",
               "steps/s", "vs gen");
@@ -207,6 +231,7 @@ int main(int Argc, char **Argv) {
     JM.set("model", Json::string(vm::memModelName(Models[MI])));
     JM.set("executions", Json::number(R.Execs));
     JM.set("steps", Json::number(R.Steps));
+    JM.set("passes", Json::number(R.Passes));
     JM.set("seconds", Json::number(R.Seconds));
     JM.set("execs_per_sec", Json::number(ExecsPerSec));
     JM.set("steps_per_sec", Json::number(StepsPerSec));
@@ -246,7 +271,7 @@ int main(int Argc, char **Argv) {
   const Json *Version = Parsed->find("schema_version");
   const Json *ModelsJ = Parsed->find("models");
   if (!Schema || Schema->asString() != "dfence-exec-throughput-v1" ||
-      !Version || Version->asU64() != 2 || !ModelsJ ||
+      !Version || Version->asU64() != 3 || !ModelsJ ||
       !ModelsJ->isArray() || ModelsJ->items().size() != 3) {
     std::fprintf(stderr, "BENCH_exec.json is malformed\n");
     return 1;
@@ -254,7 +279,7 @@ int main(int Argc, char **Argv) {
   for (const Json &JM : ModelsJ->items())
     if (!JM.find("execs_per_sec") || !JM.find("steps_per_sec") ||
         !JM.find("generic_execs_per_sec") ||
-        !JM.find("speedup_vs_generic") ||
+        !JM.find("speedup_vs_generic") || !JM.find("passes") ||
         JM.find("executions")->asU64() == 0) {
       std::fprintf(stderr, "BENCH_exec.json has an empty model entry\n");
       return 1;

@@ -102,7 +102,7 @@ RoundResult exec::runRound(PoolSlice &Slice, const vm::PreparedProgram &P,
           std::chrono::steady_clock::time_point CheckT0{};
           if (Shard)
             CheckT0 = std::chrono::steady_clock::now();
-          S.Violation = Check(S.SE.Result);
+          S.Violation = Check(S.SE.Result, Worker);
           if (Shard)
             Shard->addNs(obs::Phase::SpecCheck,
                          obs::ProfilerShard::elapsedNs(

@@ -77,10 +77,12 @@ struct RoundResult {
 };
 
 /// Judges one (non-discarded) execution result; returns violation
-/// diagnostics or empty. Called concurrently from pool workers, so it
-/// must be thread-safe (the synthesizer's checkExecution is: it only
-/// reads the config and builds local checker state).
-using ViolationCheck = std::function<std::string(const vm::ExecResult &)>;
+/// diagnostics or empty. Called concurrently from pool workers with the
+/// slice-relative index of the calling worker (currentWorker()), so a
+/// check may keep per-worker scratch state (the synthesizer gives each
+/// worker its own spec::Checker) and must otherwise be thread-safe.
+using ViolationCheck =
+    std::function<std::string(const vm::ExecResult &, unsigned Worker)>;
 
 /// Runs \p Plan against prepared program \p P (read-only for the whole
 /// round; its module and clients must stay alive and unmodified until

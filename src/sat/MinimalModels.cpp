@@ -45,9 +45,10 @@ void minimizeModel(const MonotoneCnf &F, std::vector<bool> &Assign) {
 namespace {
 
 void fillStats(SolveStats *Stats, const MonotoneCnf &F, const Solver &S,
-               size_t Models) {
+               size_t Models, bool Truncated = false) {
   if (!Stats)
     return;
+  Stats->Truncated = Truncated;
   Stats->Vars = F.NumVars;
   Stats->Clauses = F.Clauses.size();
   Stats->Models = Models;
@@ -89,7 +90,12 @@ sat::enumerateMinimalModels(const MonotoneCnf &F, size_t MaxModels,
   }
 
   std::vector<std::vector<Var>> Models;
-  while (Models.size() < MaxModels && S.solve()) {
+  bool Complete = false; // Every minimal model was found.
+  while (Models.size() < MaxModels) {
+    if (!S.solve()) {
+      Complete = true;
+      break;
+    }
     std::vector<bool> Assign(F.NumVars, false);
     for (Var V = 0; V != F.NumVars; ++V)
       Assign[V] = S.modelValue(V) == LBool::True;
@@ -105,14 +111,16 @@ sat::enumerateMinimalModels(const MonotoneCnf &F, size_t MaxModels,
       Blocking.push_back(Lit::neg(V));
     }
     Models.push_back(std::move(Model));
-    if (Blocking.empty())
-      break; // The empty model satisfies everything; nothing else to find.
-    if (!S.addClause(std::move(Blocking)))
-      break; // All remaining models blocked.
+    // The empty model satisfies everything: nothing else to find. A
+    // rejected blocking clause means every remaining model is blocked.
+    if (Blocking.empty() || !S.addClause(std::move(Blocking))) {
+      Complete = true;
+      break;
+    }
   }
   if (Models.empty() && !S.okay())
     Unsat = true;
-  fillStats(Stats, F, S, Models.size());
+  fillStats(Stats, F, S, Models.size(), /*Truncated=*/!Complete);
   StampNs(Stats);
   return Models;
 }
@@ -120,7 +128,7 @@ sat::enumerateMinimalModels(const MonotoneCnf &F, size_t MaxModels,
 std::vector<Var> sat::minimumModel(const MonotoneCnf &F, bool &Unsat,
                                    SolveStats *Stats) {
   std::vector<std::vector<Var>> Models =
-      enumerateMinimalModels(F, /*MaxModels=*/4096, Unsat, Stats);
+      enumerateMinimalModels(F, MinimumModelCap, Unsat, Stats);
   if (Models.empty())
     return {};
   auto Better = [](const std::vector<Var> &A, const std::vector<Var> &B) {

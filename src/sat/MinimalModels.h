@@ -38,6 +38,10 @@ struct SolveStats {
   uint64_t Conflicts = 0;    ///< Solver conflicts across all solve() calls.
   uint64_t Decisions = 0;    ///< Solver decisions across all solve() calls.
   uint64_t Propagations = 0; ///< Solver propagations across all calls.
+  /// Enumeration stopped because it reached its model cap, not because
+  /// every minimal model was found: a minimumModel result is then only
+  /// the smallest of the models enumerated, not a proven minimum.
+  bool Truncated = false;
   /// Wall-clock nanoseconds the enumeration took. Machine-dependent —
   /// feeds the flight recorder's sat_solve phase histogram and the round
   /// log, never a counter or a canonical result field (everything above
@@ -46,7 +50,8 @@ struct SolveStats {
 };
 
 /// Enumerates all inclusion-minimal models via SAT + blocking clauses
-/// (stops after \p MaxModels). Each model is the sorted set of true vars.
+/// (stops after \p MaxModels, setting SolveStats::Truncated). Each model
+/// is the sorted set of true vars.
 /// An unsatisfiable formula (only possible with an empty clause) yields an
 /// empty result with \p Unsat set. When \p Stats is non-null it receives
 /// solver-effort telemetry for the call.
@@ -56,6 +61,9 @@ enumerateMinimalModels(const MonotoneCnf &F, size_t MaxModels, bool &Unsat,
 
 /// Among the minimal models, returns one of minimum cardinality
 /// (lexicographically smallest for determinism). Empty when unsat.
+/// Enumerates at most MinimumModelCap models; SolveStats::Truncated
+/// reports when the cap cut enumeration short.
+constexpr size_t MinimumModelCap = 4096;
 std::vector<Var> minimumModel(const MonotoneCnf &F, bool &Unsat,
                               SolveStats *Stats = nullptr);
 

@@ -4,6 +4,8 @@
 
 #include "support/Diagnostics.h"
 
+#include <cassert>
+
 using namespace dfence;
 using namespace dfence::sched;
 
@@ -21,18 +23,22 @@ void RandomFlushScheduler::reset() {
 
 Action RandomFlushScheduler::pick(const std::vector<ThreadView> &Threads,
                                   Rng &R) {
+  assert([&] {
+    for (size_t I = 0, E = Threads.size(); I != E; ++I)
+      if (Threads[I].Tid != I)
+        return false;
+    return true;
+  }() && "views must be indexed by Tid");
   // Partial-order reduction: a thread executing purely local instructions
-  // cannot interact with other threads, so keep running it.
-  if (Cfg.PartialOrderReduction && LastTid != ~0u &&
+  // cannot interact with other threads, so keep running it. Views are
+  // indexed by Tid, so the last thread is a direct lookup (LastTid is ~0u
+  // after reset, which no index reaches).
+  if (Cfg.PartialOrderReduction && LastTid < Threads.size() &&
       LocalStreak < Cfg.MaxLocalStreak) {
-    for (const ThreadView &T : Threads) {
-      if (T.Tid != LastTid)
-        continue;
-      if (T.Runnable && !T.NextIsShared) {
-        ++LocalStreak;
-        return Action::step(T.Tid);
-      }
-      break;
+    const ThreadView &T = Threads[LastTid];
+    if (T.Runnable && !T.NextIsShared) {
+      ++LocalStreak;
+      return Action::step(T.Tid);
     }
   }
   LocalStreak = 0;

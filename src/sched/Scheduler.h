@@ -21,6 +21,7 @@ namespace dfence::sched {
 
 /// What the scheduler can see about one thread at a scheduling point.
 struct ThreadView {
+  /// The thread's id, which is also its index in the views vector.
   uint32_t Tid = 0;
   /// The thread can execute an instruction (alive and not blocked).
   bool Runnable = false;
@@ -28,6 +29,7 @@ struct ThreadView {
   size_t PendingStores = 0;
   /// Distinct shared variables with a non-empty buffer. Under PSO these
   /// are real addresses; under TSO a singleton dummy entry when non-empty.
+  /// Empty whenever PendingStores is 0.
   std::vector<ir::Word> BufferedVars;
   /// The thread's next instruction accesses shared memory (used for
   /// partial-order reduction).
@@ -59,6 +61,11 @@ struct Action {
 /// at least one thread is runnable or has pending stores. The returned
 /// action must reference such a thread. Randomness must come from \p R so
 /// executions replay deterministically from a seed.
+///
+/// Views are indexed by thread id: Threads[I].Tid == I for every I, so a
+/// scheduler may look a thread up directly. The engine keeps the views up
+/// to date incrementally and only guarantees their contents at the moment
+/// pick() is called.
 class Scheduler {
 public:
   virtual ~Scheduler();

@@ -16,69 +16,184 @@ using vm::OpRecord;
 
 namespace {
 
-/// Shared DFS over sequentializations. Candidate generation is the only
-/// difference between the two criteria.
-class SequentializationSearch {
+/// A set of 64-bit keys with open addressing. clear() is O(1) (an epoch
+/// bump) and keeps the table, so a set reused across searches allocates
+/// only when a search needs more room than any before it.
+class FlatKeySet {
 public:
-  SequentializationSearch(const History &H, const SpecFactory &Factory,
-                          const CheckerLimits &Limits, bool RealTime)
-      : Ops(H.Ops), Limits(Limits), RealTime(RealTime) {
+  void clear() {
+    Count = 0;
+    if (++Epoch == 0) { // Wrapped: stamps from 2^32 clears ago look live.
+      std::fill(Stamps.begin(), Stamps.end(), 0u);
+      Epoch = 1;
+    }
+  }
+
+  bool contains(uint64_t Key) const {
+    if (Keys.empty())
+      return false;
+    for (size_t I = slot(Key);; I = (I + 1) & (Keys.size() - 1)) {
+      if (Stamps[I] != Epoch)
+        return false;
+      if (Keys[I] == Key)
+        return true;
+    }
+  }
+
+  void insert(uint64_t Key) {
+    if ((Count + 1) * 2 > Keys.size())
+      grow();
+    for (size_t I = slot(Key);; I = (I + 1) & (Keys.size() - 1)) {
+      if (Stamps[I] != Epoch) {
+        Keys[I] = Key;
+        Stamps[I] = Epoch;
+        ++Count;
+        return;
+      }
+      if (Keys[I] == Key)
+        return;
+    }
+  }
+
+private:
+  size_t slot(uint64_t Key) const {
+    return static_cast<size_t>((Key * 0x9e3779b97f4a7c15ULL) >> 32) &
+           (Keys.size() - 1);
+  }
+
+  void grow() {
+    std::vector<uint64_t> OldKeys = std::move(Keys);
+    std::vector<uint32_t> OldStamps = std::move(Stamps);
+    uint32_t OldEpoch = Epoch;
+    Keys.assign(OldKeys.empty() ? 64 : OldKeys.size() * 2, 0);
+    Stamps.assign(Keys.size(), 0u);
+    Epoch = 1;
+    Count = 0;
+    for (size_t I = 0; I != OldKeys.size(); ++I)
+      if (OldStamps[I] == OldEpoch)
+        insert(OldKeys[I]);
+  }
+
+  std::vector<uint64_t> Keys;   ///< Power-of-two sized.
+  std::vector<uint32_t> Stamps; ///< Slot I is live iff Stamps[I] == Epoch.
+  uint32_t Epoch = 1;
+  size_t Count = 0;
+};
+
+/// The work-stealing EMPTY relaxation's per-op test: op \p I of \p H is
+/// an EMPTY take/steal overlapping another op in real time.
+bool isAbortedEmptyOp(const History &H, size_t I) {
+  const OpRecord &Op = H.Ops[I];
+  bool IsEmptyWsqOp = (Op.Func == "take" || Op.Func == "steal") &&
+                      Op.Completed && Op.Ret == EmptyVal;
+  if (!IsEmptyWsqOp)
+    return false;
+  for (size_t K = 0; K != H.Ops.size(); ++K) {
+    if (K == I)
+      continue;
+    const OpRecord &Other = H.Ops[K];
+    // Overlap = neither strictly precedes the other.
+    if (!Other.precedes(Op) && !Op.precedes(Other))
+      return true;
+  }
+  return false;
+}
+
+} // namespace
+
+/// The DFS over sequentializations shared by both criteria; candidate
+/// generation is the only difference between them. Every container is a
+/// member that keeps its capacity across checks.
+struct Checker::Search {
+  CheckerLimits Limits;
+  std::unique_ptr<SpecState> Initial;
+  /// States[D] is the spec state after D linearized ops; States[D + 1]
+  /// is overwritten from States[D] for each candidate tried at depth D.
+  std::vector<std::unique_ptr<SpecState>> States;
+  std::vector<const OpRecord *> Ops; ///< The history being checked.
+  bool RealTime = false;
+  /// SC: per-thread op indices in invocation order; [0, NumThreads) used.
+  std::vector<std::vector<size_t>> PerThread;
+  size_t NumThreads = 0;
+  /// Candidate stack: depth D's candidates sit above depth D-1's.
+  std::vector<size_t> Candidates;
+  FlatKeySet Failed;
+  size_t Visited = 0;
+
+  bool run(bool RT) {
+    RealTime = RT;
     if (Ops.size() > Limits.MaxOps)
       reportFatalError(
           strformat("history of %zu operations exceeds checker limit %zu",
                     Ops.size(), Limits.MaxOps));
-    for (const OpRecord &Op : Ops)
-      if (!Op.Completed)
+    for (const OpRecord *Op : Ops)
+      if (!Op->Completed)
         reportFatalError("checker requires a complete history");
     if (!RealTime) {
       // Per-thread program order, by invocation time.
+      for (size_t T = 0; T != NumThreads; ++T)
+        PerThread[T].clear();
+      NumThreads = 0;
       for (size_t I = 0; I != Ops.size(); ++I) {
-        uint32_t T = Ops[I].Thread;
-        if (T >= PerThread.size())
-          PerThread.resize(T + 1);
+        uint32_t T = Ops[I]->Thread;
+        if (T >= NumThreads) {
+          NumThreads = T + 1;
+          if (PerThread.size() < NumThreads)
+            PerThread.resize(NumThreads);
+        }
         PerThread[T].push_back(I);
       }
-      for (auto &Seq : PerThread)
-        std::sort(Seq.begin(), Seq.end(), [&](size_t A, size_t B) {
-          return Ops[A].InvokeSeq < Ops[B].InvokeSeq;
-        });
+      for (size_t T = 0; T != NumThreads; ++T)
+        std::sort(PerThread[T].begin(), PerThread[T].end(),
+                  [&](size_t A, size_t B) {
+                    return Ops[A]->InvokeSeq < Ops[B]->InvokeSeq;
+                  });
     }
-    Initial = Factory();
-  }
-
-  bool search() {
     if (Ops.empty())
       return true;
-    return dfs(0, *Initial);
+    Failed.clear();
+    Visited = 0;
+    Candidates.clear();
+    if (States.empty())
+      States.push_back(Initial->clone());
+    else
+      States[0]->assign(*Initial);
+    return dfs(0, 0);
   }
 
-private:
-  bool dfs(uint64_t Mask, SpecState &State) {
-    uint64_t Full = Ops.size() == 64
-                        ? ~0ULL
-                        : ((1ULL << Ops.size()) - 1);
+  bool dfs(uint64_t Mask, size_t Depth) {
+    uint64_t Full = Ops.size() == 64 ? ~0ULL : ((1ULL << Ops.size()) - 1);
     if (Mask == Full)
       return true;
     if (++Visited > Limits.MaxVisitedStates)
       return true; // Budget exhausted: conservatively accept.
+    const SpecState &State = *States[Depth];
     uint64_t Key = hashCombine(Mask, State.hash());
-    if (Failed.count(Key))
+    if (Failed.contains(Key))
       return false;
 
-    std::vector<size_t> Candidates;
-    collectCandidates(Mask, Candidates);
-    for (size_t I : Candidates) {
-      std::unique_ptr<SpecState> Next = State.clone();
-      if (!Next->apply(Ops[I]))
+    if (States.size() == Depth + 1)
+      States.push_back(State.clone());
+    SpecState &Next = *States[Depth + 1];
+    size_t Begin = Candidates.size();
+    collectCandidates(Mask);
+    size_t End = Candidates.size();
+    for (size_t C = Begin; C != End; ++C) {
+      size_t I = Candidates[C];
+      Next.assign(*States[Depth]);
+      if (!Next.apply(*Ops[I]))
         continue;
-      if (dfs(Mask | (1ULL << I), *Next))
+      if (dfs(Mask | (1ULL << I), Depth + 1)) {
+        Candidates.resize(Begin);
         return true;
+      }
     }
+    Candidates.resize(Begin);
     Failed.insert(Key);
     return false;
   }
 
-  void collectCandidates(uint64_t Mask, std::vector<size_t> &Out) const {
+  void collectCandidates(uint64_t Mask) {
     if (RealTime) {
       // Linearizability: an op is schedulable when no other pending op
       // responded strictly before it was invoked. With MinResp the
@@ -87,69 +202,66 @@ private:
       uint64_t MinResp = ~0ULL;
       for (size_t I = 0; I != Ops.size(); ++I)
         if (!(Mask & (1ULL << I)))
-          MinResp = std::min(MinResp, Ops[I].RespondSeq);
+          MinResp = std::min(MinResp, Ops[I]->RespondSeq);
       for (size_t I = 0; I != Ops.size(); ++I)
-        if (!(Mask & (1ULL << I)) && Ops[I].InvokeSeq <= MinResp)
-          Out.push_back(I);
+        if (!(Mask & (1ULL << I)) && Ops[I]->InvokeSeq <= MinResp)
+          Candidates.push_back(I);
       return;
     }
     // Operation-level SC: the next pending op of each thread.
-    for (const std::vector<size_t> &Seq : PerThread) {
-      for (size_t I : Seq) {
+    for (size_t T = 0; T != NumThreads; ++T) {
+      for (size_t I : PerThread[T]) {
         if (Mask & (1ULL << I))
           continue;
-        Out.push_back(I);
+        Candidates.push_back(I);
         break;
       }
     }
   }
-
-  const std::vector<OpRecord> &Ops;
-  CheckerLimits Limits;
-  bool RealTime;
-  std::vector<std::vector<size_t>> PerThread;
-  std::unique_ptr<SpecState> Initial;
-  std::unordered_set<uint64_t> Failed;
-  size_t Visited = 0;
 };
 
-} // namespace
+Checker::Checker(const SpecFactory &Factory, CheckerLimits Limits)
+    : S(std::make_unique<Search>()) {
+  S->Limits = Limits;
+  S->Initial = Factory();
+}
+
+Checker::~Checker() = default;
+Checker::Checker(Checker &&) = default;
+Checker &Checker::operator=(Checker &&) = default;
+
+bool Checker::linearizable(const History &H, bool RelaxConcurrentEmpty) {
+  S->Ops.clear();
+  for (size_t I = 0; I != H.Ops.size(); ++I)
+    if (!RelaxConcurrentEmpty || !isAbortedEmptyOp(H, I))
+      S->Ops.push_back(&H.Ops[I]);
+  return S->run(/*RealTime=*/true);
+}
+
+bool Checker::sequentiallyConsistent(const History &H) {
+  S->Ops.clear();
+  for (const OpRecord &Op : H.Ops)
+    S->Ops.push_back(&Op);
+  return S->run(/*RealTime=*/false);
+}
 
 bool spec::isLinearizable(const History &H, const SpecFactory &Factory,
                           const CheckerLimits &Limits) {
-  SequentializationSearch S(H, Factory, Limits, /*RealTime=*/true);
-  return S.search();
+  return Checker(Factory, Limits).linearizable(H);
 }
 
 bool spec::isSequentiallyConsistent(const History &H,
                                     const SpecFactory &Factory,
                                     const CheckerLimits &Limits) {
-  SequentializationSearch S(H, Factory, Limits, /*RealTime=*/false);
-  return S.search();
+  return Checker(Factory, Limits).sequentiallyConsistent(H);
 }
 
 History spec::relaxConcurrentEmptyOps(const History &H) {
   History Out;
-  for (size_t I = 0; I != H.Ops.size(); ++I) {
-    const OpRecord &Op = H.Ops[I];
-    bool IsEmptyWsqOp = (Op.Func == "take" || Op.Func == "steal") &&
-                        Op.Completed && Op.Ret == EmptyVal;
-    if (!IsEmptyWsqOp) {
-      Out.Ops.push_back(Op);
-      continue;
-    }
-    bool Overlaps = false;
-    for (size_t K = 0; K != H.Ops.size() && !Overlaps; ++K) {
-      if (K == I)
-        continue;
-      const OpRecord &Other = H.Ops[K];
-      // Overlap = neither strictly precedes the other.
-      if (!Other.precedes(Op) && !Op.precedes(Other))
-        Overlaps = true;
-    }
-    if (!Overlaps)
-      Out.Ops.push_back(Op); // Must be justified by an empty queue.
-  }
+  for (size_t I = 0; I != H.Ops.size(); ++I)
+    if (!isAbortedEmptyOp(H, I))
+      Out.Ops.push_back(H.Ops[I]); // Non-overlapping EMPTY: must be
+                                   // justified by an empty queue.
   return Out;
 }
 

@@ -20,6 +20,7 @@
 #include "spec/Spec.h"
 #include "vm/History.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,36 @@ struct CheckerLimits {
                                 ///< by reportFatalError (client too big).
   size_t MaxVisitedStates = 4u << 20; ///< Search budget; exceeding it
                                       ///< conservatively reports "ok".
+};
+
+/// A reusable sequentialization checker bound to one sequential spec.
+/// Its search storage — one spec state per search depth, the candidate
+/// buffer, the failed-state set, the per-thread order and the op list —
+/// persists across checks, so once a checker has seen a history of a
+/// given shape, checking another allocates nothing. The search itself
+/// (candidate order, state hashes, the MaxVisitedStates budget) is the
+/// same for every checker, fresh or reused, so verdicts do not depend on
+/// what a checker checked before. Single-threaded: give each worker its
+/// own.
+class Checker {
+public:
+  /// Calls \p Factory once, for the initial state every check starts
+  /// from.
+  explicit Checker(const SpecFactory &Factory, CheckerLimits Limits = {});
+  ~Checker();
+  Checker(Checker &&);
+  Checker &operator=(Checker &&);
+
+  /// Linearizability of \p H. With \p RelaxConcurrentEmpty the check
+  /// runs on relaxConcurrentEmptyOps(H) without building that copy.
+  bool linearizable(const vm::History &H, bool RelaxConcurrentEmpty = false);
+
+  /// Operation-level sequential consistency of \p H.
+  bool sequentiallyConsistent(const vm::History &H);
+
+private:
+  struct Search;
+  std::unique_ptr<Search> S;
 };
 
 /// Returns true when \p H is linearizable w.r.t. \p Factory.

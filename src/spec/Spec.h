@@ -9,6 +9,11 @@
 // which is why apply() is a feasibility check rather than a function
 // computing the return value.
 //
+// States are flat values (sorted or sliding std::vector storage, no
+// node-based containers), so the checkers' search can copy one state
+// into another with assign() and reuse the destination's storage instead
+// of allocating a clone per search node.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef DFENCE_SPEC_SPEC_H
@@ -36,6 +41,12 @@ public:
   virtual uint64_t hash() const = 0;
 
   virtual std::unique_ptr<SpecState> clone() const = 0;
+
+  /// Overwrites this state with the value of \p Other, which must have
+  /// the same dynamic type (a clone of the same factory's state). Reuses
+  /// this state's storage, so once it has held a value as large as
+  /// \p Other's the copy allocates nothing.
+  virtual void assign(const SpecState &Other) = 0;
 };
 
 /// Creates fresh initial spec states.

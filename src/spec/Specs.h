@@ -5,8 +5,7 @@
 
 #include "spec/Spec.h"
 
-#include <deque>
-#include <set>
+#include <vector>
 
 namespace dfence::spec {
 
@@ -26,6 +25,7 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &Other) override;
 
   /// Default deque shape: take from the tail, steal from the head.
   static SpecFactory factory();
@@ -34,7 +34,8 @@ public:
 private:
   DequeEnd TakeEnd;
   DequeEnd StealEnd;
-  std::deque<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< Deque contents are [Head, size()).
+  size_t Head = 0;
 };
 
 /// FIFO queue spec: enqueue(v)/dequeue() with EMPTY on empty.
@@ -43,11 +44,13 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &Other) override;
 
   static SpecFactory factory();
 
 private:
-  std::deque<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< Queue contents are [Head, size()).
+  size_t Head = 0;
 };
 
 /// Sorted-set spec: add(v)->1 if inserted else 0; remove(v)->1 if removed
@@ -57,11 +60,12 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &Other) override;
 
   static SpecFactory factory();
 
 private:
-  std::set<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< Sorted, distinct.
 };
 
 /// Stack spec: push(v)/pop() with EMPTY on empty (Treiber-style stacks).
@@ -70,11 +74,12 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &Other) override;
 
   static SpecFactory factory();
 
 private:
-  std::deque<vm::Word> Items;
+  std::vector<vm::Word> Items; ///< Bottom of the stack first.
 };
 
 /// Shared-counter spec: inc() returns the new counter value. Mutual-
@@ -85,6 +90,7 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &Other) override;
 
   static SpecFactory factory();
 
@@ -100,11 +106,12 @@ public:
   bool apply(const vm::OpRecord &Op) override;
   uint64_t hash() const override;
   std::unique_ptr<SpecState> clone() const override;
+  void assign(const SpecState &Other) override;
 
   static SpecFactory factory();
 
 private:
-  std::set<vm::Word> Live;
+  std::vector<vm::Word> Live; ///< Sorted, distinct.
 };
 
 } // namespace dfence::spec

@@ -57,7 +57,8 @@ std::string SynthResult::fenceSummary() const {
 }
 
 std::string synth::checkExecution(const vm::ExecResult &R,
-                                  const SynthConfig &Cfg) {
+                                  const SynthConfig &Cfg,
+                                  spec::Checker *Checker) {
   switch (R.Out) {
   case vm::Outcome::MemSafety:
   case vm::Outcome::AssertFail:
@@ -74,7 +75,13 @@ std::string synth::checkExecution(const vm::ExecResult &R,
   // round, the overwhelming majority clean): it must return before any
   // diagnostic string or history copy is built. This function is called
   // concurrently by the round engine's workers; it only reads Cfg and
-  // builds checker-local state.
+  // touches the caller's checker (one per worker).
+  std::optional<spec::Checker> OwnChecker;
+  auto CheckerFor = [&]() -> spec::Checker & {
+    if (!Checker)
+      Checker = &OwnChecker.emplace(Cfg.Factory);
+    return *Checker;
+  };
   switch (Cfg.Spec) {
   case SpecKind::MemorySafety:
     return std::string();
@@ -84,7 +91,7 @@ std::string synth::checkExecution(const vm::ExecResult &R,
     if (!Cfg.Factory)
       return "configuration error: sequential-consistency checking "
              "requires a sequential specification";
-    if (spec::isSequentiallyConsistent(R.Hist, Cfg.Factory))
+    if (CheckerFor().sequentiallyConsistent(R.Hist))
       return std::string();
     return "history is not sequentially consistent:\n" + R.Hist.str();
   case SpecKind::Linearizability: {
@@ -94,20 +101,8 @@ std::string synth::checkExecution(const vm::ExecResult &R,
     // Work-stealing relaxation: concurrent EMPTY take/steal are aborts
     // (see relaxConcurrentEmptyOps); only non-overlapping EMPTY answers
     // must be justified by an empty queue (the paper's Fig. 2c). The
-    // relaxation is the identity on histories without EMPTY take/steal
-    // answers — the common case — so skip the copy for those.
-    bool HasEmptyWsqOp = false;
-    for (const vm::OpRecord &Op : R.Hist.Ops)
-      if ((Op.Func == "take" || Op.Func == "steal") && Op.Completed &&
-          Op.Ret == vm::EmptyVal) {
-        HasEmptyWsqOp = true;
-        break;
-      }
-    bool Ok = HasEmptyWsqOp
-                  ? spec::isLinearizable(
-                        spec::relaxConcurrentEmptyOps(R.Hist), Cfg.Factory)
-                  : spec::isLinearizable(R.Hist, Cfg.Factory);
-    if (Ok)
+    // checker skips the aborted ops in place, without a history copy.
+    if (CheckerFor().linearizable(R.Hist, /*RelaxConcurrentEmpty=*/true))
       return std::string();
     return "history is not linearizable:\n" + R.Hist.str();
   }
@@ -255,6 +250,10 @@ SynthResult synth::synthesize(const ir::Module &M,
       obs::counterOrNull(Cfg.Obs, "sat_decisions_total");
   obs::Counter *SatPropsC =
       obs::counterOrNull(Cfg.Obs, "sat_propagations_total");
+  // Solves whose minimal-model enumeration stopped at its cap (the chosen
+  // repair is then the smallest model seen, not a proven minimum).
+  obs::Counter *SatTruncC =
+      obs::counterOrNull(Cfg.Obs, "sat_enum_truncated_total");
   // Cache counters count merge-thread events only (see the fold loop), so
   // they are jobs-invariant like every other counter.
   obs::Counter *CacheExecHitsC =
@@ -389,6 +388,17 @@ SynthResult synth::synthesize(const ir::Module &M,
   std::optional<vm::PreparedProgram> Prepared;
   Prepared.emplace(Cur, Clients);
 
+  // One spec checker per slice worker, bound to Cfg.Factory: every check
+  // a worker runs in this call reuses its search storage, so steady-state
+  // checks allocate nothing.
+  std::vector<spec::Checker> Checkers;
+  if (Cfg.Factory && (Cfg.Spec == SpecKind::SequentialConsistency ||
+                      Cfg.Spec == SpecKind::Linearizability)) {
+    Checkers.reserve(Slice.jobs());
+    for (unsigned W = 0; W != Slice.jobs(); ++W)
+      Checkers.emplace_back(Cfg.Factory);
+  }
+
   unsigned RepairRounds = 0;
   unsigned CleanRounds = 0;
   bool OutOfTime = false;
@@ -465,7 +475,10 @@ SynthResult synth::synthesize(const ir::Module &M,
     // before the next round's reads.
     exec::RoundResult RR = exec::runRound(
         Slice, *Prepared, Plan, Cfg.Exec,
-        [&Cfg](const vm::ExecResult &R) { return checkExecution(R, Cfg); },
+        [&](const vm::ExecResult &R, unsigned Worker) {
+          return checkExecution(
+              R, Cfg, Checkers.empty() ? nullptr : &Checkers[Worker]);
+        },
         StopFn, Cfg.Obs, CacheShard, RoundDL);
     // Populate the execution cache from this round's fresh results before
     // the fold below moves repair disjunctions out of the slots. Index
@@ -660,6 +673,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     SatSpan.arg("vars", SS.Vars);
     SatSpan.arg("models", SS.Models);
     SatSpan.arg("conflicts", SS.Conflicts);
+    SatSpan.arg("truncated", static_cast<uint64_t>(SS.Truncated));
     SatSpan.end();
     OBS_COUNT(SatSolvesC, 1);
     OBS_COUNT(SatClausesC, SS.Clauses);
@@ -667,6 +681,7 @@ SynthResult synth::synthesize(const ir::Module &M,
     OBS_COUNT(SatConflictsC, SS.Conflicts);
     OBS_COUNT(SatDecisionsC, SS.Decisions);
     OBS_COUNT(SatPropsC, SS.Propagations);
+    OBS_COUNT(SatTruncC, SS.Truncated ? 1 : 0);
     Stats.SatClauses = SS.Clauses;
     Stats.SatModels = SS.Models;
     Stats.SatConflicts = SS.Conflicts;

@@ -38,6 +38,10 @@ class ExecPool;
 class PoolSlice;
 } // namespace dfence::exec
 
+namespace dfence::spec {
+class Checker;
+} // namespace dfence::spec
+
 namespace dfence::synth {
 
 /// Which specification violations trigger repair. Memory safety checking
@@ -295,7 +299,11 @@ SynthResult synthesize(const ir::Module &M,
 /// description of the violation. Step-limited/deadlocked/timed-out
 /// executions are reported as acceptable ("discarded") per the synthesis
 /// loop's policy; the caller distinguishes them via the outcome.
-std::string checkExecution(const vm::ExecResult &R, const SynthConfig &Cfg);
+/// \p Checker, when non-null, must be bound to Cfg.Factory; SC and
+/// linearizability checks then reuse its storage (the round engine
+/// passes each worker's own). Null checks with a fresh checker.
+std::string checkExecution(const vm::ExecResult &R, const SynthConfig &Cfg,
+                           spec::Checker *Checker = nullptr);
 
 } // namespace dfence::synth
 

@@ -2,12 +2,14 @@
 //
 // The per-run driver ported from the old one-shot Engine (Interp.cpp),
 // restructured so every piece of state is reset in place: frames live in a
-// flat stack indexing a shared per-thread register arena, threads are
-// pooled and revived, repairs collect into a flat vector deduped once at
-// the end, and the scheduler views are updated in place each step. The
-// semantics — including RNG stream consumption, action validation and
-// every diagnostic — are byte-for-byte those of the old engine, which is
-// what keeps recorded replay traces reproducing.
+// flat stack indexing a shared per-thread register arena (each frame
+// caching its function's instruction and prepared dispatch streams),
+// threads are pooled and revived, repairs collect into a flat vector
+// deduped once at the end, and after each action only the scheduler
+// views of the threads that action changed are refreshed (see
+// mainLoopT). The semantics — including RNG stream consumption, action
+// validation and every diagnostic — are byte-for-byte those of the old
+// engine, which is what keeps recorded replay traces reproducing.
 //
 // The interpreter loops are written once as templates over a memory-model
 // policy and instantiated four ways. The three specialized policies carry
@@ -106,10 +108,18 @@ static_assert(SharedStep[static_cast<size_t>(Opcode::Load)] &&
 struct ExecContext::Thread {
   /// One stack frame. Registers live in the thread's shared arena at
   /// [RegBase, RegBase + frameSize(F)) — a frame push/pop is an arena
-  /// resize, not a vector allocation.
+  /// resize, not a vector allocation. The function's instruction body and
+  /// its prepared dispatch/jump streams are cached at push, so a step
+  /// indexes them directly instead of going through the module and the
+  /// prepared program (both outlive every execution and stay unmodified
+  /// during one).
   struct Frame {
     FuncId F = 0;
     size_t Ip = 0;
+    const Instr *Body = nullptr;
+    const uint8_t *OpIdx = nullptr;
+    const uint32_t *Jump0 = nullptr;
+    const uint32_t *Jump1 = nullptr;
     size_t RegBase = 0;
     Reg RetDst = 0;          ///< Caller register receiving the return value.
     bool IsTopLevel = false; ///< Frame of a recorded client method call.
@@ -147,12 +157,17 @@ struct ExecContext::Thread {
     return Script && ScriptPos < Script->Calls.size();
   }
 
-  /// Pushes a zeroed frame for \p F with \p NRegs registers; returns it.
-  Frame &pushFrame(FuncId F, uint32_t NRegs) {
+  /// Pushes a zeroed frame for function \p F of \p P; returns it.
+  Frame &pushFrame(const PreparedProgram &P, FuncId F) {
+    const PreparedFunc &PF = P.func(F);
     Frame Fr;
     Fr.F = F;
+    Fr.Body = P.module().Funcs[F].Body.data();
+    Fr.OpIdx = PF.OpIdx.data();
+    Fr.Jump0 = PF.Jump0.data();
+    Fr.Jump1 = PF.Jump1.data();
     Fr.RegBase = RegArena.size();
-    RegArena.resize(Fr.RegBase + NRegs, 0);
+    RegArena.resize(Fr.RegBase + P.frameSize(F), 0);
     Frames.push_back(Fr);
     return Frames.back();
   }
@@ -224,7 +239,7 @@ template <class MP> void ExecContext::runInitT() {
     InitThread = std::make_unique<Thread>();
   Thread &Init = *InitThread;
   Init.reset(~0u, MemModel::SC, nullptr, nullptr);
-  Init.pushFrame(PC->Init, P->frameSize(PC->Init));
+  Init.pushFrame(*P, PC->Init);
   size_t InitSteps = 0;
   while (!Init.Frames.empty() && !Halted) {
     if (++InitSteps > Cfg.MaxSteps) {
@@ -276,7 +291,7 @@ void ExecContext::startNextCall(Thread &T) {
   size_t OpIndex = Result->Hist.Ops.size();
   Result->Hist.Ops.push_back(std::move(Op));
 
-  Thread::Frame &Fr = T.pushFrame(F, P->frameSize(F));
+  Thread::Frame &Fr = T.pushFrame(*P, F);
   for (size_t I = 0; I != ArgScratch.size(); ++I)
     T.reg(Fr, static_cast<Reg>(I)) = ArgScratch[I];
   Fr.IsTopLevel = true;
@@ -354,6 +369,7 @@ template <class MP> bool ExecContext::maybeFlushStormT() {
     flushOneT<MP>(T, false, 0);
     ++Steps;
   }
+  refreshViewT<MP>(T);
   NoProgress = 0;
   return true;
 }
@@ -366,7 +382,7 @@ sched::Action ExecContext::applyForcedSwitch(sched::Action A) {
     DeferredAt.resize(LiveThreads, InvalidInstrId);
     if (!T.Frames.empty()) {
       const Thread::Frame &F = T.Frames.back();
-      InstrId Next = P->module().Funcs[F.F].Body[F.Ip].Id;
+      InstrId Next = F.Body[F.Ip].Id;
       bool Marked = std::find(FP->SwitchBeforeLabels.begin(),
                               FP->SwitchBeforeLabels.end(),
                               Next) != FP->SwitchBeforeLabels.end();
@@ -432,18 +448,16 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
   }
 
   Thread::Frame &F = T.Frames.back();
-  const Module &M = P->module();
-  const Function &Fn = M.Funcs[F.F];
-  assert(F.Ip < Fn.Body.size() && "instruction pointer out of range");
-  const Instr &I = Fn.Body[F.Ip];
-  const PreparedFunc &PF = P->func(F.F);
+  assert(F.Ip < P->module().Funcs[F.F].Body.size() &&
+         "instruction pointer out of range");
+  const Instr &I = F.Body[F.Ip];
   decltype(auto) B = bufOf<MP>(T);
 
   // Flight recorder: per-opcode step counts come straight off the
   // prepared dispatch stream — one array increment, both dispatch modes
   // (they share this template). Null shard = no work at all.
   if (PShard)
-    ++PShard->OpSteps[PF.OpIdx[F.Ip]];
+    ++PShard->OpSteps[F.OpIdx[F.Ip]];
 
   // Dispatch off the prepared OpIdx stream (one dense byte per Body
   // position) instead of the fat Instr record. The jump-table order must
@@ -460,10 +474,10 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
   static_assert(sizeof(Table) / sizeof(Table[0]) ==
                     static_cast<size_t>(Opcode::Nop) + 1,
                 "jump table must cover every opcode");
-  goto *Table[PF.OpIdx[F.Ip]];
+  goto *Table[F.OpIdx[F.Ip]];
 #define DF_CASE(Name) Op_##Name:
 #else
-  switch (static_cast<Opcode>(PF.OpIdx[F.Ip])) {
+  switch (static_cast<Opcode>(F.OpIdx[F.Ip])) {
 #define DF_CASE(Name) case Opcode::Name:
 #endif
 
@@ -630,11 +644,11 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
   }
 
   DF_CASE(Br) {
-    F.Ip = PF.Jump0[F.Ip];
+    F.Ip = F.Jump0[F.Ip];
     return true;
   }
   DF_CASE(CondBr) {
-    F.Ip = T.reg(F, I.Ops[0]) != 0 ? PF.Jump0[F.Ip] : PF.Jump1[F.Ip];
+    F.Ip = T.reg(F, I.Ops[0]) != 0 ? F.Jump0[F.Ip] : F.Jump1[F.Ip];
     return true;
   }
 
@@ -646,7 +660,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
     FuncId Callee = I.Callee;
     ++F.Ip; // Return continues after the call.
     // pushFrame grows the arena and the frame stack; F is dead past here.
-    Thread::Frame &NewF = T.pushFrame(Callee, P->frameSize(Callee));
+    Thread::Frame &NewF = T.pushFrame(*P, Callee);
     for (size_t A = 0; A != ArgScratch.size(); ++A)
       T.reg(NewF, static_cast<Reg>(A)) = ArgScratch[A];
     NewF.RetDst = Dst;
@@ -694,8 +708,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
       ArgScratch.push_back(T.reg(F, I.Ops[A]));
     uint32_t NewTid = static_cast<uint32_t>(LiveThreads);
     Thread &NewT = acquireThread(NewTid, Cfg.Model);
-    Thread::Frame &NewF =
-        NewT.pushFrame(I.Callee, P->frameSize(I.Callee));
+    Thread::Frame &NewF = NewT.pushFrame(*P, I.Callee);
     for (size_t A = 0; A != ArgScratch.size(); ++A)
       NewT.reg(NewF, static_cast<Reg>(A)) = ArgScratch[A];
     if (NewT.RegArena.size() > CStats.RegArenaHighWater)
@@ -719,6 +732,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
       return false;
     if (!bufOf<MP>(U).empty()) {
       flushOneT<MP>(U, false, 0);
+      JoinFlushed = &U; // The main loop refreshes U's view too.
       return true;
     }
     goto Advance;
@@ -744,14 +758,60 @@ Advance:
   return true;
 }
 
+template <class MP> void ExecContext::refreshViewT(Thread &T) {
+  sched::ThreadView &V = Views[T.Tid];
+  bool WasActive = V.Runnable || V.PendingStores > 0;
+  decltype(auto) B = bufOf<MP>(T);
+  V.Runnable = T.hasWork();
+  V.PendingStores = B.size();
+  if (V.PendingStores > 0)
+    B.nonEmptyVars(V.BufferedVars);
+  else
+    V.BufferedVars.clear();
+  // A thread between calls is about to record an invoke: a scheduling
+  // point. Otherwise the next opcode decides.
+  V.NextIsShared =
+      V.Runnable && (T.Frames.empty() ||
+                     SharedStep[T.Frames.back().OpIdx[T.Frames.back().Ip]]);
+  bool IsActive = V.Runnable || V.PendingStores > 0;
+  if (IsActive && !WasActive)
+    ++ActiveViews;
+  else if (!IsActive && WasActive)
+    --ActiveViews;
+}
+
+template <class MP> void ExecContext::addViewsT(size_t From) {
+  Views.resize(LiveThreads);
+  for (size_t TI = From; TI != LiveThreads; ++TI) {
+    sched::ThreadView &V = Views[TI];
+    V.Tid = static_cast<uint32_t>(TI);
+    V.Runnable = false; // Not counted in ActiveViews yet.
+    V.PendingStores = 0;
+    refreshViewT<MP>(*Threads[TI]);
+  }
+}
+
 template <class MP> void ExecContext::mainLoopT() {
+  // Views[Tid] describes thread Tid. They are built once here and then
+  // refreshed only for the threads an action can change: the acted
+  // thread, the join target whose buffer a joiner flushed, a flush-storm
+  // victim (refreshed inside maybeFlushStormT) and threads spawned by the
+  // step. No other thread's state moves, so every view equals what a
+  // full rebuild would give at each pick. Entries keep their
+  // BufferedVars capacity across steps and executions.
+  ActiveViews = 0;
+  addViewsT<MP>(0);
+
   // Flight-recorder phase attribution. A null shard (the default) costs
   // exactly these pointer tests per iteration — zero clock reads; an
-  // attached shard brackets the three sections of an iteration (view
-  // refresh, scheduler pick, step-or-flush) with steady-clock reads.
+  // attached shard brackets the three sections of an iteration
+  // (scheduler pick, step-or-flush, view refresh) with steady-clock
+  // reads, each section starting where the previous one ended.
   using ProfClock = std::chrono::steady_clock;
   obs::ProfilerShard *PS = PShard;
   ProfClock::time_point PT0{}, PT1{}, PT2{};
+  if (PS)
+    PT0 = ProfClock::now();
   while (!Halted) {
     if (Steps >= Cfg.MaxSteps) {
       violate(Outcome::StepLimit, "execution exceeded step limit");
@@ -759,48 +819,16 @@ template <class MP> void ExecContext::mainLoopT() {
     }
     if ((Steps & 1023) == 0 && deadlineExpired())
       return;
-    if (PS)
-      PT0 = ProfClock::now();
-
-    // Views are updated in place (Views[Tid] describes thread Tid): the
-    // vector and its BufferedVars keep their capacities across steps.
-    Views.resize(LiveThreads);
-    bool AnyWork = false;
-    for (size_t TI = 0; TI != LiveThreads; ++TI) {
-      Thread &T = *Threads[TI];
-      decltype(auto) B = bufOf<MP>(T);
-      sched::ThreadView &V = Views[TI];
-      V.Tid = T.Tid;
-      V.Runnable = T.hasWork();
-      V.PendingStores = B.size();
-      V.NextIsShared = false;
-      if (V.Runnable || V.PendingStores > 0) {
-        AnyWork = true;
-        B.nonEmptyVars(V.BufferedVars);
-        if (V.Runnable) {
-          if (T.Frames.empty()) {
-            V.NextIsShared = true; // Next step records an invoke.
-          } else {
-            const Thread::Frame &F = T.Frames.back();
-            V.NextIsShared = SharedStep[P->func(F.F).OpIdx[F.Ip]];
-          }
-        }
-      } else {
-        V.BufferedVars.clear();
-      }
-    }
-    if (PS) {
-      PT1 = ProfClock::now();
-      PS->addNs(obs::Phase::ViewRefresh,
-                obs::ProfilerShard::elapsedNs(PT0, PT1));
-    }
-    if (!AnyWork)
+    if (ActiveViews == 0)
       return; // Completed.
 
     if (maybeFlushStormT<MP>()) {
-      if (PS)
+      if (PS) {
+        PT1 = ProfClock::now();
         PS->addNs(obs::Phase::BufferFlush,
-                  obs::ProfilerShard::elapsedNs(PT1, ProfClock::now()));
+                  obs::ProfilerShard::elapsedNs(PT0, PT1));
+        PT0 = PT1;
+      }
       continue;
     }
 
@@ -810,9 +838,9 @@ template <class MP> void ExecContext::mainLoopT() {
     if (Cfg.RecordTrace)
       Result->Trace.push_back(A);
     if (PS) {
-      PT2 = ProfClock::now();
+      PT1 = ProfClock::now();
       PS->addNs(obs::Phase::SchedPick,
-                obs::ProfilerShard::elapsedNs(PT1, PT2));
+                obs::ProfilerShard::elapsedNs(PT0, PT1));
     }
     // Validate the action for real (not assert-only): a stale or corrupt
     // replay trace must end the execution, not corrupt the engine.
@@ -843,17 +871,34 @@ template <class MP> void ExecContext::mainLoopT() {
       flushOneT<MP>(T, A.HasVar, A.Var);
       ++Result->Stats.SchedFlushes;
       Progress = true;
-      if (PS)
+      if (PS) {
+        PT2 = ProfClock::now();
         PS->addNs(obs::Phase::BufferFlush,
-                  obs::ProfilerShard::elapsedNs(PT2, ProfClock::now()));
+                  obs::ProfilerShard::elapsedNs(PT1, PT2));
+      }
     } else {
       Progress = stepThreadT<MP>(T);
       ++Result->Stats.SchedSteps;
-      if (PS)
+      if (PS) {
+        PT2 = ProfClock::now();
         PS->addNs(obs::Phase::OpDispatch,
-                  obs::ProfilerShard::elapsedNs(PT2, ProfClock::now()));
+                  obs::ProfilerShard::elapsedNs(PT1, PT2));
+      }
     }
     ++Steps;
+
+    refreshViewT<MP>(T);
+    if (JoinFlushed) {
+      refreshViewT<MP>(*JoinFlushed);
+      JoinFlushed = nullptr;
+    }
+    if (Views.size() != LiveThreads)
+      addViewsT<MP>(Views.size()); // The step spawned threads.
+    if (PS) {
+      PT0 = ProfClock::now();
+      PS->addNs(obs::Phase::ViewRefresh,
+                obs::ProfilerShard::elapsedNs(PT2, PT0));
+    }
 
     if (Progress) {
       NoProgress = 0;
@@ -918,6 +963,7 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
   LiveThreads = 0;
   Repairs.clear();
   DeferredAt.clear();
+  JoinFlushed = nullptr;
   Seq = 0;
   Steps = 0;
   NoProgress = 0;

@@ -88,6 +88,8 @@ private:
   template <class MP> void runInitT();
   void createClientThreads();
   template <class MP> void mainLoopT();
+  template <class MP> void refreshViewT(Thread &T);
+  template <class MP> void addViewsT(size_t From);
   template <class MP> void finalDrainT();
   void startNextCall(Thread &T);
   template <class MP> bool stepThreadT(Thread &T);
@@ -119,7 +121,11 @@ private:
   std::vector<OrderingPredicate> Repairs; ///< Deduped at run end.
   std::vector<ir::InstrId> LabelScratch;
   std::vector<Word> ArgScratch;
+  /// Scheduler views, Views[Tid] for thread Tid; refreshed per action
+  /// only for the threads the action changed (see mainLoopT).
   std::vector<sched::ThreadView> Views;
+  size_t ActiveViews = 0; ///< Views that are runnable or have stores.
+  Thread *JoinFlushed = nullptr; ///< Join target flushed by the last step.
   std::vector<ir::InstrId> DeferredAt;
   sched::RandomFlushScheduler OwnedSched;
   ContextStats CStats;

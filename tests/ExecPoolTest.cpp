@@ -138,7 +138,7 @@ TEST(RoundRunnerTest, ParallelSlotsMatchSequentialRun) {
   RoundPlan Plan = smallPlan(40);
   harness::ExecPolicy Policy;
 
-  ViolationCheck Check = [](const vm::ExecResult &R) {
+  ViolationCheck Check = [](const vm::ExecResult &R, unsigned) {
     return R.Out == vm::Outcome::Completed ? std::string()
                                            : R.Message;
   };
@@ -171,7 +171,7 @@ TEST(RoundRunnerTest, StopPredicateCancelsPendingSlots) {
   std::atomic<size_t> Started{0};
   RoundResult RR = runRound(
       Pool.slice(0), Prog, Plan, Policy,
-      [&](const vm::ExecResult &) {
+      [&](const vm::ExecResult &, unsigned) {
         ++Started;
         return std::string();
       },

@@ -94,6 +94,12 @@ struct Case {
   SpecKind Spec;
 };
 
+// Test names print the parameter; the default would dump Case's bytes,
+// including the load address of Bench.
+void PrintTo(const Case &C, std::ostream *OS) {
+  *OS << C.Bench << " / " << synth::specKindName(C.Spec);
+}
+
 class ParallelDeterminismTest
     : public ::testing::TestWithParam<std::tuple<Case, MemModel>> {};
 

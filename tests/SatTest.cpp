@@ -227,6 +227,41 @@ TEST(MinimalModelsTest, EmptyClauseUnsat) {
   EXPECT_TRUE(Unsat);
 }
 
+TEST(MinimalModelsTest, TruncatedOnlyWhenTheCapStopsEnumeration) {
+  MonotoneCnf F;
+  F.NumVars = 4;
+  F.Clauses = {{0, 1}, {2, 3}}; // Exactly four minimal models.
+  bool Unsat = false;
+  SolveStats SS;
+  EXPECT_EQ(enumerateMinimalModels(F, 5, Unsat, &SS).size(), 4u);
+  EXPECT_FALSE(SS.Truncated);
+  EXPECT_EQ(enumerateMinimalModels(F, 3, Unsat, &SS).size(), 3u);
+  EXPECT_TRUE(SS.Truncated);
+  EXPECT_TRUE(enumerateMinimalModels(F, 0, Unsat, &SS).empty());
+  EXPECT_TRUE(SS.Truncated);
+}
+
+TEST(MinimalModelsTest, MinimumModelReportsItsCap) {
+  // 13 disjoint two-literal clauses have 2^13 = 8192 minimal models,
+  // twice minimumModel's cap.
+  MonotoneCnf Big;
+  Big.NumVars = 26;
+  for (Var V = 0; V != 26; V += 2)
+    Big.Clauses.push_back({V, V + 1});
+  bool Unsat = false;
+  SolveStats SS;
+  std::vector<Var> Min = minimumModel(Big, Unsat, &SS);
+  EXPECT_EQ(SS.Models, MinimumModelCap);
+  EXPECT_TRUE(SS.Truncated);
+  EXPECT_EQ(Min.size(), 13u) << "every minimal model hits each clause once";
+
+  MonotoneCnf Small;
+  Small.NumVars = 3;
+  Small.Clauses = {{0, 2}, {1, 2}};
+  minimumModel(Small, Unsat, &SS);
+  EXPECT_FALSE(SS.Truncated);
+}
+
 // Property test: SAT-based minimum model cardinality matches the exact
 // branch-and-bound hitting-set solver on random monotone formulas.
 class MinModelPropertyTest : public ::testing::TestWithParam<int> {};
