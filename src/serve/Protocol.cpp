@@ -14,7 +14,7 @@
 using namespace dfence;
 using namespace dfence::serve;
 
-static std::optional<vm::MemModel> modelByName(const std::string &S) {
+std::optional<vm::MemModel> serve::modelByName(const std::string &S) {
   if (S == "sc")
     return vm::MemModel::SC;
   if (S == "tso")
@@ -143,10 +143,10 @@ std::optional<ServeRequest> serve::parseRequest(const Json &J,
   return R;
 }
 
-/// Fills the shared synthesis knobs of \p Cfg from \p R the way the
-/// one-shot CLI's runSynthesis does — same defaults, same portfolio
-/// logic — so an accepted daemon request and the equivalent CLI run
-/// build the same configuration.
+/// Fills the synthesis knobs of \p Cfg from \p R: the flush portfolio,
+/// enforcement mode, cache, dispatch and resilience policy. Every
+/// synthesis front end (daemon, one-shot CLI, fuzzer) gets its config
+/// from here, so the same request always builds the same configuration.
 static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
                        synth::SpecKind Spec,
                        const spec::SpecFactory &Factory,
@@ -160,8 +160,10 @@ static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
   if (R.Flush >= 0) {
     Cfg.FlushProb = R.Flush;
   } else if (Model == vm::MemModel::TSO) {
-    Cfg.FlushProb = vm::defaultFlushProb(Model);
+    Cfg.FlushProb = vm::defaultFlushProb(Model); // the paper's ~0.1
   } else {
+    // PSO portfolio: mostly the tuned PSO probability, with the TSO one
+    // mixed in to also catch bugs that need long store delays.
     Cfg.FlushProbs = {vm::defaultFlushProb(vm::MemModel::PSO),
                       vm::defaultFlushProb(vm::MemModel::TSO)};
   }
@@ -177,8 +179,8 @@ static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
   if (R.Seed != 0)
     Cfg.BaseSeed = R.Seed;
   Cfg.CacheEnabled = R.CacheOn;
-  // Empty = keep whatever default the server stamped into the job's
-  // config (ServeConfig::Dispatch; the Server overrides after this).
+  // Empty = the config default (specialized); the server then substitutes
+  // its own ServeConfig::Dispatch for requests that left it empty.
   if (R.Dispatch == "generic")
     Cfg.Dispatch = vm::DispatchMode::Generic;
   else if (R.Dispatch == "specialized")
@@ -216,12 +218,10 @@ std::optional<SynthJob> serve::prepareJob(const ServeRequest &R,
       return std::nullopt;
     }
     Job.M = std::move(CR.Module);
-    std::string DslError;
-    auto Client = driver::parseClientDsl(R.ClientDsl, DslError);
-    if (!Client) {
-      Error = "client: " + DslError;
+    // The DSL parser's errors name themselves ("client DSL at offset N").
+    auto Client = driver::parseClientDsl(R.ClientDsl, Error);
+    if (!Client)
       return std::nullopt;
-    }
     Client->InitFunc = R.InitFunc;
     Job.Clients = {*Client};
     auto Spec = specByFlag(R.Spec.empty() ? "safety" : R.Spec);

@@ -2,11 +2,12 @@
 //
 // The wire vocabulary of the synthesis-as-a-service daemon: JSON-lines,
 // one request object in, one response object out, correlated by the
-// caller-chosen "id". The schema deliberately mirrors the one-shot CLI's
-// flags (same names, same defaults, same validation), because the
-// daemon's core guarantee is that an accepted request's canonical result
-// is byte-identical to the one-shot `dfence synth`/`dfence bench` run of
-// the same request at the same --jobs.
+// caller-chosen "id". ServeRequest is also the one-shot CLI's request:
+// `dfence synth`/`dfence bench` fill one from their flags and resolve it
+// through prepareJob, the only code that turns knobs into a SynthConfig.
+// That is what makes an accepted request's canonical result
+// byte-identical to the one-shot run of the same request at the same
+// --jobs.
 //
 // Request ops:
 //   synth    {"op":"synth","source":<minic>,"client":<dsl>, knobs...}
@@ -49,8 +50,9 @@ namespace dfence::serve {
 /// bump when the schema changes incompatibly.
 inline constexpr const char *ProtoName = "dfence-serve-v1";
 
-/// One parsed request. Knob defaults equal the CLI's, so an empty knob
-/// set means "what `dfence synth file.mc --client DSL` would do".
+/// One parsed request. Its knob defaults are the CLI's defaults (the CLI
+/// fills this struct), so an empty knob set means "what `dfence synth
+/// file.mc --client DSL` would do".
 struct ServeRequest {
   enum class Op : uint8_t { Synth, Bench, Ping, Stats, Status, Shutdown };
 
@@ -101,10 +103,16 @@ struct ServeRequest {
 /// schema violations (unknown op, missing work definition, bad knob).
 std::optional<ServeRequest> parseRequest(const Json &J, std::string &Error);
 
+/// The memory model named by a `model` knob or `--model` flag: "sc",
+/// "tso" or "pso"; nullopt for anything else.
+std::optional<vm::MemModel> modelByName(const std::string &S);
+
 /// Everything prepareJob resolved for a synth/bench request: the
 /// compiled module, the clients, and a SynthConfig with every semantic
-/// knob set. The server stamps its own execution environment (Pool,
-/// Jobs, shared cache, Obs, RequestTag, deadline caps) before running.
+/// knob set. Callers stamp only their execution environment before
+/// running: the server its leased Slice, Jobs, shared cache, Obs and
+/// deadline cap; the one-shot CLI and the fuzz campaign Jobs, Obs and
+/// (CLI) RoundLog.
 struct SynthJob {
   ir::Module M;
   std::vector<vm::Client> Clients;
@@ -113,8 +121,9 @@ struct SynthJob {
 
 /// Resolves \p R into a runnable job: compiles the source (or looks up
 /// the benchmark), parses the client DSL, resolves spec/seq-spec, and
-/// fills the config exactly like the one-shot CLI would. Deterministic:
-/// a given request always produces the same job or the same error.
+/// fills every semantic config knob — the one place that does, for the
+/// daemon, the one-shot CLI and the fuzzer alike. Deterministic: a given
+/// request always produces the same job or the same error.
 std::optional<SynthJob> prepareJob(const ServeRequest &R,
                                    std::string &Error);
 

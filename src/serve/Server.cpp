@@ -316,13 +316,13 @@ Json Server::runJob(Pending &P, unsigned Slot) {
   }
 
   // Stamp the server's execution environment. Semantic knobs came from
-  // the request (prepareJob mirrors the CLI); only the *where it runs*
-  // part is ours: an exclusively leased pool slice, the shared execution
-  // cache (synthesize() leases the shard the request routes to),
-  // observability, and the deadline cap on the total wall budget.
-  // Capping TotalWallMs cannot change a run that finishes in time
-  // (watchdog purity), which is what keeps daemon results byte-identical
-  // to the one-shot CLI.
+  // the request (prepareJob, which resolves one-shot CLI runs too); only
+  // the *where it runs* part is ours: an exclusively leased pool slice,
+  // the shared execution cache (synthesize() leases the shard the
+  // request routes to), observability, and the deadline cap on the total
+  // wall budget. Capping TotalWallMs cannot change a run that finishes
+  // in time (watchdog purity), which is what keeps daemon results
+  // byte-identical to the one-shot CLI.
   exec::PoolSlice *Slice = Pool.lease();
   // One slice per slot by construction, so a lease is always available.
   assert(Slice && "slot without a free slice");

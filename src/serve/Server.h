@@ -18,9 +18,10 @@
 //     whole run (same-shard requests serialize, repeat requests always
 //     find their warm shard regardless of scheduling);
 //   * determinism is unchanged: a request's canonical result is
-//     byte-identical to the one-shot CLI run of the same request —
-//     results are jobs-invariant and cache hits replay recorded results,
-//     so neither slicing nor interleaving can move a byte.
+//     byte-identical to the one-shot CLI run of the same request — both
+//     resolve it through prepareJob, results are jobs-invariant and
+//     cache hits replay recorded results, so neither slicing nor
+//     interleaving can move a byte.
 //
 // Robustness core (the reason this daemon exists):
 //   * bounded admission with explicit shed — see Admission.h; priority
@@ -67,10 +68,9 @@
 namespace dfence::serve {
 
 struct ServeConfig {
-  /// Total pool width budget; 0 = hardware concurrency. With the default
-  /// single slot, a request's result is what the one-shot CLI produces
-  /// at --jobs N (results are jobs-invariant, so this holds at any
-  /// slicing).
+  /// Total pool width budget; 0 = hardware concurrency. A request's
+  /// result is what the one-shot CLI produces for the same knobs at any
+  /// --jobs (results are jobs-invariant, so this holds at any slicing).
   unsigned Jobs = 0;
   /// Concurrent dispatcher slots; each slot leases its own pool slice.
   /// 1 = the serial dispatcher (the pre-partition daemon shape).

@@ -328,18 +328,12 @@ SynthResult synth::synthesize(const ir::Module &M,
   // executions across it and merges in execution-index order, so the
   // result is bit-identical to the sequential engine at any Jobs value
   // (and any slice width). A caller-leased slice (the concurrent serve
-  // dispatcher) is used as is; a caller-owned pool contributes its
-  // slice 0; otherwise a private pool is built for this run. setObs is
-  // per-slice, so concurrent synthesize() calls on separately leased
-  // slices never race on observability handles.
+  // dispatcher) is used as is; otherwise a private pool is built for
+  // this run. setObs is per-slice, so concurrent synthesize() calls on
+  // separately leased slices never race on observability handles.
   std::optional<exec::ExecPool> OwnedPool;
-  exec::PoolSlice *SliceP = Cfg.Slice;
-  if (!SliceP) {
-    if (!Cfg.Pool)
-      OwnedPool.emplace(Cfg.Jobs);
-    SliceP = Cfg.Pool ? &Cfg.Pool->slice(0) : &OwnedPool->slice(0);
-  }
-  exec::PoolSlice &Slice = *SliceP;
+  exec::PoolSlice &Slice =
+      Cfg.Slice ? *Cfg.Slice : OwnedPool.emplace(Cfg.Jobs).slice(0);
   Slice.setObs(Cfg.Obs);
 
   // The execution cache (src/cache/) is only sound when a slot's result

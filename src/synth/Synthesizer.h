@@ -34,7 +34,6 @@ class ExecCache;
 } // namespace dfence::cache
 
 namespace dfence::exec {
-class ExecPool;
 class PoolSlice;
 } // namespace dfence::exec
 
@@ -86,23 +85,19 @@ struct SynthConfig {
   /// round engine, src/exec/). Per-execution results are merged in
   /// execution-index order, so the SynthResult is bit-identical at any
   /// value; 1 = run in-process sequentially, 0 = use
-  /// std::thread::hardware_concurrency(). Ignored when Pool is set.
+  /// std::thread::hardware_concurrency(). Sizes the private pool built
+  /// when no Slice is set.
   unsigned Jobs = 1;
-
-  /// Optional externally owned worker pool. When set, synthesize() fans
-  /// rounds across its slice 0 instead of constructing a private pool.
-  /// Not owned; must outlive synthesize(), and slice 0 must not be used
-  /// by concurrent synthesize() calls. Determinism is unaffected:
-  /// results are merged in execution-index order regardless of who owns
-  /// the workers. Ignored when Slice is set.
-  exec::ExecPool *Pool = nullptr;
 
   /// Optional exclusively-leased pool slice. When set, synthesize()
   /// fans rounds across exactly this slice — the concurrent serve
   /// dispatcher leases one slice per dispatcher slot, so concurrent
   /// synthesize() calls never share batch state, per-worker contexts or
   /// observability handles. Not owned; the caller must hold the lease
-  /// until synthesize() returns. Takes precedence over Pool/Jobs.
+  /// until synthesize() returns. Null — the default — runs on a private
+  /// pool of Jobs workers. Determinism is unaffected either way: results
+  /// are merged in execution-index order regardless of who owns the
+  /// workers.
   exec::PoolSlice *Slice = nullptr;
 
   /// Interpreter dispatch mode forwarded to every execution (`dfence

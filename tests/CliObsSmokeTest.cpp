@@ -6,14 +6,22 @@
 // round / slot / sat_solve span hierarchy, and the metrics counters are
 // populated. Also pins down the CLI hardening contract: unknown flags
 // exit 2 with a pointed message, and --help lists every observability
-// flag. Runs as part of tier 1 so the end-to-end path cannot rot.
+// flag. Finally checks the CLI-serve contract end to end: `dfence synth`
+// and `dfence bench` print the fences and rounds that the daemon's
+// resolver (serve::prepareJob) and synthesize() compute for the same
+// knobs, and config errors print prepareJob's reason with exit 1. Runs
+// as part of tier 1 so the end-to-end path cannot rot.
 //
 //===----------------------------------------------------------------------===//
 
+#include "serve/Protocol.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
+#include "synth/Synthesizer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,6 +29,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <vector>
 
 using namespace dfence;
 
@@ -379,4 +388,153 @@ TEST(CliObsSmokeTest, WallClockFlagReportsTimeoutWithPartialSummary) {
                     Out);
   EXPECT_EQ(Exit, 0);
   EXPECT_NE(Out.find("result: degraded"), std::string::npos) << Out;
+}
+
+//===--- The CLI-serve contract: synth/bench resolve through -------------
+//===--- serve::prepareJob, so their printed report equals the canonical --
+//===--- result of the same knobs run in-process. -------------------------===//
+
+namespace {
+
+/// The publication sample (a null dereference through an unflushed
+/// pointer publish under PSO).
+const char *PubSource =
+    "global int FLAG = 0;\n"
+    "global int PTR = 0;\n"
+    "int writer() { int p = malloc(2); *p = 5; PTR = p; FLAG = 1; "
+    "return 0; }\n"
+    "int reader() { int f = FLAG; if (f == 1) { int p = PTR; return *p; "
+    "} return 0; }\n";
+const char *PubClient = "writer()|reader();reader()";
+
+/// The round and fence lines of a synth/bench report.
+std::vector<std::string> reportLines(const std::string &Out) {
+  std::vector<std::string> Lines;
+  std::istringstream In(Out);
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("round ", 0) == 0 || Line.rfind("  (", 0) == 0)
+      Lines.push_back(Line);
+  return Lines;
+}
+
+/// The same lines rendered from the canonical result of \p Req, resolved
+/// by prepareJob and run in-process at one job.
+std::vector<std::string> servedLines(const serve::ServeRequest &Req) {
+  std::string Error;
+  std::optional<serve::SynthJob> Job = serve::prepareJob(Req, Error);
+  EXPECT_TRUE(Job.has_value()) << Error;
+  if (!Job)
+    return {};
+  Job->Cfg.Jobs = 1;
+  Json R = serve::resultToJson(
+      synth::synthesize(Job->M, Job->Clients, Job->Cfg));
+  std::vector<std::string> Lines;
+  for (const Json &Round : R.find("roundLog")->items())
+    Lines.push_back(strformat(
+        "round %llu: %llu violating / %llu executions, %llu "
+        "enforcement(s) in program",
+        static_cast<unsigned long long>(Round.find("round")->asU64()),
+        static_cast<unsigned long long>(Round.find("violations")->asU64()),
+        static_cast<unsigned long long>(Round.find("executions")->asU64()),
+        static_cast<unsigned long long>(Round.find("fences")->asU64())));
+  for (const Json &F : R.find("fences")->items())
+    Lines.push_back("  " + F.asString());
+  return Lines;
+}
+
+/// Runs `dfence <Args>` and expects its report to equal the served
+/// result of \p Req, with at least one fence so the comparison is not
+/// vacuous.
+void expectCliMatchesServed(const std::string &Args,
+                            const serve::ServeRequest &Req) {
+  std::string Out;
+  ASSERT_EQ(runCommand(std::string(DFENCE_BIN) + " " + Args, Out), 0)
+      << Out;
+  std::vector<std::string> Served = servedLines(Req);
+  EXPECT_EQ(reportLines(Out), Served) << Out;
+  EXPECT_TRUE(std::any_of(Served.begin(), Served.end(),
+                          [](const std::string &L) {
+                            return L.rfind("  (", 0) == 0;
+                          }))
+      << Out;
+}
+
+/// Writes the publication sample where the CLI can read it, under a
+/// per-test name: ctest runs the tests of this file concurrently in one
+/// directory.
+std::string writePubSample() {
+  const std::string Path =
+      std::string("cli_contract_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".mc";
+  std::ofstream(Path) << PubSource;
+  return Path;
+}
+
+/// A synth request on the publication sample, CLI defaults otherwise.
+serve::ServeRequest pubRequest() {
+  serve::ServeRequest Req;
+  Req.Kind = serve::ServeRequest::Op::Synth;
+  Req.Source = PubSource;
+  Req.ClientDsl = PubClient;
+  return Req;
+}
+
+} // namespace
+
+TEST(CliServeContractTest, BenchPrintsTheServedCanonicalResult) {
+  serve::ServeRequest Req;
+  Req.Kind = serve::ServeRequest::Op::Bench;
+  Req.BenchName = "Chase-Lev WSQ";
+  Req.Model = "pso";
+  Req.K = 300;
+  Req.Rounds = 8;
+  expectCliMatchesServed("bench \"Chase-Lev WSQ\" --model pso --k 300"
+                         " --rounds 8 --jobs 1",
+                         Req);
+}
+
+TEST(CliServeContractTest, SynthPrintsTheServedCanonicalResult) {
+  const std::string Path = writePubSample();
+  serve::ServeRequest Req = pubRequest();
+  Req.Spec = "safety";
+  Req.K = 300;
+  expectCliMatchesServed("synth " + Path + " --client \"" + PubClient +
+                             "\" --model pso --spec safety --k 300"
+                             " --jobs 1",
+                         Req);
+  std::remove(Path.c_str());
+}
+
+TEST(CliServeContractTest, ConfigErrorsExitOneWithPrepareJobsReason) {
+  const std::string Path = writePubSample();
+  struct {
+    const char *Flags;
+    void (*Knob)(serve::ServeRequest &);
+  } Cases[] = {
+      {"--model sc", [](serve::ServeRequest &R) { R.Model = "sc"; }},
+      {"--enforce bogus",
+       [](serve::ServeRequest &R) { R.Enforce = "bogus"; }},
+      {"--dispatch bogus",
+       [](serve::ServeRequest &R) { R.Dispatch = "bogus"; }},
+      {"--spec lin", [](serve::ServeRequest &R) { R.Spec = "lin"; }},
+  };
+  for (const auto &Case : Cases) {
+    serve::ServeRequest Req = pubRequest();
+    Case.Knob(Req);
+    std::string Reason;
+    ASSERT_FALSE(serve::prepareJob(Req, Reason).has_value()) << Case.Flags;
+    ASSERT_FALSE(Reason.empty()) << Case.Flags;
+
+    std::string Out;
+    int Exit = runCommand(std::string(DFENCE_BIN) + " synth " + Path +
+                              " --client \"" + PubClient + "\" " +
+                              Case.Flags,
+                          Out);
+    EXPECT_EQ(Exit, 1) << Case.Flags << ": " << Out;
+    EXPECT_NE(Out.find("error: " + Reason), std::string::npos)
+        << Case.Flags << ": " << Out;
+  }
+  std::remove(Path.c_str());
 }

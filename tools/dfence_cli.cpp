@@ -27,16 +27,25 @@
 //       Deterministically re-execute a crash-repro bundle captured with
 //       --repro and check that the recorded violation reproduces.
 //
+//   dfence serve / dfence fuzz
+//       The synthesis daemon (docs/SERVICE.md) and the seeded scenario
+//       campaign (docs/FUZZING.md).
+//
+// synth and bench are clients of the serve protocol's request resolver:
+// they fill a serve::ServeRequest from their flags and let
+// serve::prepareJob compile the program, resolve the clients and spec,
+// and build the SynthConfig — the same code that resolves daemon
+// requests, so a one-shot run and a served request of the same knobs
+// compute the same result. The CLI adds only where the run happens:
+// --jobs N worker threads (default: the machine's hardware concurrency;
+// results merge in execution-index order, so the output is bit-identical
+// for any N), the observability sinks and the round log.
+//
 // Synthesis resilience flags: --exec-ms N (per-execution watchdog),
 // --retries N (discard retry budget), --round-ms N / --total-ms N (wall
 // budgets; on exhaustion synthesis degrades to conservative static
 // fencing), --repro PATH (write crash-repro bundles of violating
 // executions).
-//
-// Synthesis performance: --jobs N runs each round's K executions on N
-// worker threads (default: the machine's hardware concurrency). Results
-// merge in execution-index order, so the output is bit-identical for any
-// N — --jobs only changes the wall clock.
 //
 // Client DSL: "put(1);take()|steal();steal()" — threads separated by
 // '|', calls by ';', '$N' references the thread's N-th return value.
@@ -301,26 +310,71 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
   return Table;
 }
 
-std::optional<vm::MemModel> parseModel(const std::string &S) {
-  if (S == "sc")
-    return vm::MemModel::SC;
-  if (S == "tso")
-    return vm::MemModel::TSO;
-  if (S == "pso")
-    return vm::MemModel::PSO;
-  return std::nullopt;
+/// The observability sinks a command attaches from its --metrics-out,
+/// --trace-out, --log-level and --log-json flags. Each sink is attached
+/// only when requested, so a plain run pays nothing but null checks in
+/// the engine.
+struct ObsSinks {
+  obs::Registry Metrics;
+  obs::TraceSink Trace;
+  std::optional<obs::Logger> Log;
+  std::optional<obs::Profiler> Prof;
+  obs::ObsContext Ctx;
+
+  /// The context to hand the engine; null when no sink is attached.
+  const obs::ObsContext *context() const {
+    return Ctx.Metrics || Ctx.Trace || Ctx.Log ? &Ctx : nullptr;
+  }
+};
+
+/// Attaches the sinks \p Opt asks for to \p S. False (after printing the
+/// error) on an unknown --log-level, which every command rejects with
+/// exit 2.
+bool attachObs(const Options &Opt, ObsSinks &S) {
+  auto Level = obs::logLevelByName(Opt.get("log-level", "warn"));
+  if (!Level) {
+    std::fprintf(stderr, "error: --log-level must be one of "
+                         "debug|info|warn|error|off\n");
+    return false;
+  }
+  if (Opt.has("log-level") || Opt.has("log-json")) {
+    S.Log.emplace(*Level, Opt.has("log-json"));
+    S.Ctx.Log = &*S.Log;
+  }
+  if (!Opt.get("metrics-out").empty())
+    S.Ctx.Metrics = &S.Metrics;
+  if (!Opt.get("trace-out").empty())
+    S.Ctx.Trace = &S.Trace;
+  return true;
 }
 
-std::optional<synth::SpecKind> parseSpec(const std::string &S) {
-  if (S == "safety")
-    return synth::SpecKind::MemorySafety;
-  if (S == "nogarbage")
-    return synth::SpecKind::NoGarbage;
-  if (S == "sc")
-    return synth::SpecKind::SequentialConsistency;
-  if (S == "lin")
-    return synth::SpecKind::Linearizability;
-  return std::nullopt;
+/// Writes \p Metrics to \p Path (--metrics-out). The file extension picks
+/// the exposition format: .prom/.txt gets the Prometheus text format,
+/// everything else the JSON document. "-" streams JSON to stdout (the
+/// --log-json stream convention) and prints no confirmation; otherwise a
+/// "metrics: PATH" line goes to \p Confirm. False if the file cannot be
+/// written.
+bool writeMetrics(const obs::Registry &Metrics, const std::string &Path,
+                  FILE *Confirm) {
+  if (Path == "-") {
+    std::printf("%s\n", Metrics.toJson().dump(2).c_str());
+    return true;
+  }
+  std::ofstream Out(Path);
+  if (!Out) {
+    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+    return false;
+  }
+  auto EndsWith = [&](const std::string &Suf) {
+    return Path.size() >= Suf.size() &&
+           Path.compare(Path.size() - Suf.size(), Suf.size(), Suf) == 0;
+  };
+  if (EndsWith(".prom") || EndsWith(".txt"))
+    Out << Metrics.toPrometheus();
+  else
+    Out << Metrics.toJson().dump(2) << "\n";
+  std::fprintf(Confirm, "metrics: %s\n", Path.c_str());
+  return true;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -403,7 +457,7 @@ int cmdLitmus(const Options &Opt) {
     return 1;
   }
   Client->InitFunc = Opt.get("init");
-  auto Model = parseModel(Opt.get("model", "pso"));
+  auto Model = serve::modelByName(Opt.get("model", "pso"));
   if (!Model) {
     std::fprintf(stderr, "error: unknown --model\n");
     return 1;
@@ -441,119 +495,64 @@ int cmdLitmus(const Options &Opt) {
   return 0;
 }
 
-int runSynthesis(const ir::Module &M,
-                 const std::vector<vm::Client> &Clients,
-                 const Options &Opt, const spec::SpecFactory &Factory,
-                 synth::SpecKind Spec) {
-  synth::SynthConfig Cfg;
-  auto Model = parseModel(Opt.get("model", "pso"));
-  if (!Model || *Model == vm::MemModel::SC) {
-    std::fprintf(stderr,
-                 "error: --model must be tso or pso for synthesis\n");
-    return 1;
-  }
-  Cfg.Model = *Model;
-  Cfg.Spec = Spec;
-  Cfg.Factory = Factory;
-  Cfg.ExecsPerRound = static_cast<unsigned>(Opt.getInt("k", 1000));
-  Cfg.MaxRounds = static_cast<unsigned>(Opt.getInt("rounds", 16));
-  Cfg.MaxRepairRounds = Cfg.MaxRounds;
-  if (Opt.has("flush")) {
-    Cfg.FlushProb = Opt.getDouble("flush", 0.5);
-  } else if (*Model == vm::MemModel::TSO) {
-    Cfg.FlushProb = vm::defaultFlushProb(*Model); // the paper's ~0.1
-  } else {
-    // PSO portfolio: mostly the tuned PSO probability, with the TSO one
-    // mixed in to also catch bugs that need long store delays.
-    Cfg.FlushProbs = {vm::defaultFlushProb(vm::MemModel::PSO),
-                      vm::defaultFlushProb(vm::MemModel::TSO)};
-  }
-  std::string Enf = Opt.get("enforce", "fence");
-  if (Enf == "cas")
-    Cfg.Mode = synth::EnforceMode::CasDummy;
-  else if (Enf == "atomic")
-    Cfg.Mode = synth::EnforceMode::AtomicSection;
-  else if (Enf != "fence") {
-    std::fprintf(stderr, "error: unknown --enforce mode\n");
-    return 1;
-  }
-  Cfg.MergeFences = !Opt.has("no-merge");
-  // Parallel round engine; 0 = hardware concurrency (the CLI default —
-  // deterministic merge makes the result identical at any width).
-  Cfg.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
-  // Execution cache (src/cache/): on by default, and invisible in results
-  // by construction — --cache off exists for differential testing and
-  // for bounding memory on enormous runs.
+/// `dfence synth` / `dfence bench` once the work is named in \p Req:
+/// fills the request's knobs from the flags, resolves it through
+/// serve::prepareJob (config errors exit 1 with its reason), stamps the
+/// run environment — Jobs, Obs, RoundLog — and reports the result.
+int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
+  Req.Model = Opt.get("model", Req.Model);
+  Req.Spec = Opt.get("spec");
+  Req.SeqSpec = Opt.get("seq-spec");
+  Req.Enforce = Opt.get("enforce", Req.Enforce);
+  Req.K = static_cast<unsigned>(Opt.getInt("k", Req.K));
+  Req.Rounds = static_cast<unsigned>(Opt.getInt("rounds", Req.Rounds));
+  Req.Flush = Opt.getDouble("flush", Req.Flush);
+  Req.NoMerge = Opt.has("no-merge");
+  Req.Dispatch = Opt.get("dispatch");
+  Req.ExecMs = static_cast<uint32_t>(Opt.getInt("exec-ms", Req.ExecMs));
+  Req.Retries = static_cast<unsigned>(Opt.getInt("retries", Req.Retries));
+  Req.RoundMs = static_cast<uint32_t>(Opt.getInt("round-ms", Req.RoundMs));
+  // --wall-clock is the hard-deadline spelling of the total budget: the
+  // run gets the tighter of the two, and the report below flips to an
+  // explicit timeout with a partial-result summary.
+  auto TotalMs = static_cast<uint32_t>(Opt.getInt("total-ms", 0));
+  auto WallClockMs = static_cast<uint32_t>(Opt.getInt("wall-clock", 0));
+  Req.TotalMs = TotalMs == 0 || (WallClockMs && WallClockMs < TotalMs)
+                    ? WallClockMs
+                    : TotalMs;
+  std::string ReproPath = Opt.get("repro");
+  Req.CaptureBundles = !ReproPath.empty();
   std::string CacheMode = Opt.get("cache", "on");
+  Req.CacheOn = CacheMode == "on";
+
+  std::string Error;
+  std::optional<serve::SynthJob> Job = serve::prepareJob(Req, Error);
+  if (!Job) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
   if (CacheMode != "on" && CacheMode != "off") {
     std::fprintf(stderr, "error: --cache must be 'on' or 'off'\n");
     return 1;
   }
-  Cfg.CacheEnabled = CacheMode == "on";
-  // Interpreter dispatch (src/vm/ExecContext.cpp): specialized (the
-  // monomorphized per-model loop) by default; --dispatch generic is the
-  // A/B + debugging escape hatch. Results are byte-identical either way.
-  std::string Dispatch = Opt.get("dispatch", "specialized");
-  if (Dispatch == "generic")
-    Cfg.Dispatch = vm::DispatchMode::Generic;
-  else if (Dispatch != "specialized") {
-    std::fprintf(stderr,
-                 "error: --dispatch must be 'specialized' or 'generic'\n");
-    return 1;
-  }
+  synth::SynthConfig &Cfg = Job->Cfg;
+  // 0 = hardware concurrency (the CLI default — deterministic merge makes
+  // the result identical at any width).
+  Cfg.Jobs = static_cast<unsigned>(Opt.getInt("jobs", 0));
 
-  // Resilience policy: watchdogs, retry budget, wall budgets, bundles.
-  Cfg.Exec.ExecWallMs =
-      static_cast<uint32_t>(Opt.getInt("exec-ms", 0));
-  Cfg.Exec.MaxRetries =
-      static_cast<unsigned>(Opt.getInt("retries", Cfg.Exec.MaxRetries));
-  Cfg.RoundWallMs = static_cast<uint32_t>(Opt.getInt("round-ms", 0));
-  Cfg.TotalWallMs = static_cast<uint32_t>(Opt.getInt("total-ms", 0));
-  // --wall-clock is the hard-deadline spelling of the total budget: it
-  // also threads into in-flight rounds (the harness caps each
-  // execution's watchdog to the remaining time) and flips the report
-  // below to an explicit timeout with a partial-result summary.
-  if (uint32_t WC = static_cast<uint32_t>(Opt.getInt("wall-clock", 0)))
-    if (Cfg.TotalWallMs == 0 || WC < Cfg.TotalWallMs)
-      Cfg.TotalWallMs = WC;
-  Cfg.SeqSpecName = Opt.get("seq-spec");
-  std::string ReproPath = Opt.get("repro");
-  if (!ReproPath.empty())
-    Cfg.CaptureBundles = true;
-
-  // Observability (src/obs/): each sink is attached only when requested,
-  // so a plain run pays nothing but null checks in the engine.
-  std::string MetricsOut = Opt.get("metrics-out");
-  std::string TraceOut = Opt.get("trace-out");
-  obs::Registry Metrics;
-  obs::TraceSink Trace;
-  auto Level = obs::logLevelByName(Opt.get("log-level", "warn"));
-  if (!Level) {
-    std::fprintf(stderr, "error: --log-level must be one of "
-                         "debug|info|warn|error|off\n");
+  ObsSinks Sinks;
+  if (!attachObs(Opt, Sinks))
     return 2;
-  }
-  obs::Logger Log(*Level, Opt.has("log-json"));
-  obs::ObsContext Obs;
-  if (!MetricsOut.empty())
-    Obs.Metrics = &Metrics;
-  if (!TraceOut.empty())
-    Obs.Trace = &Trace;
-  if (Opt.has("log-level") || Opt.has("log-json"))
-    Obs.Log = &Log;
   // The flight recorder's phase profiler rides on the metrics registry:
   // requesting metrics output turns it on, every other run keeps the
   // null-shard fast path (zero clock reads in the engine's hot loops).
-  std::optional<obs::Profiler> Prof;
-  if (Obs.Metrics) {
+  if (Sinks.Ctx.Metrics) {
     std::vector<std::string> OpNames;
     for (unsigned I = 0; I <= static_cast<unsigned>(ir::Opcode::Nop); ++I)
       OpNames.push_back(ir::opcodeName(static_cast<ir::Opcode>(I)));
-    Prof.emplace(Metrics, OpNames);
-    Obs.Prof = &*Prof;
+    Sinks.Ctx.Prof = &Sinks.Prof.emplace(Sinks.Metrics, OpNames);
   }
-  if (Obs.Metrics || Obs.Trace || Obs.Log || Obs.Prof)
-    Cfg.Obs = &Obs;
+  Cfg.Obs = Sinks.context();
 
   // Convergence telemetry: one JSON line per round, usable while the
   // run is still going (the writer flushes per line).
@@ -567,11 +566,10 @@ int runSynthesis(const ir::Module &M,
                    RoundLogPath.c_str());
       return 1;
     }
-    RoundLog.emplace(RoundLogFile);
-    Cfg.RoundLog = &*RoundLog;
+    Cfg.RoundLog = &RoundLog.emplace(RoundLogFile);
   }
 
-  synth::SynthResult R = synth::synthesize(M, Clients, Cfg);
+  synth::SynthResult R = synth::synthesize(Job->M, Job->Clients, Cfg);
   if (R.Status == synth::SynthStatus::ConfigError) {
     std::fprintf(stderr, "error: %s\n", R.Error.c_str());
     return 1;
@@ -628,7 +626,6 @@ int runSynthesis(const ir::Module &M,
     for (size_t I = 0; I != R.Bundles.size(); ++I) {
       std::string Path =
           I == 0 ? ReproPath : strformat("%s.%zu", ReproPath.c_str(), I);
-      std::string Error;
       if (R.Bundles[I].saveFile(Path, Error))
         std::printf("repro bundle: %s\n", Path.c_str());
       else
@@ -641,41 +638,16 @@ int runSynthesis(const ir::Module &M,
   if (Opt.has("dump"))
     std::printf("%s", ir::printModule(R.FencedModule).c_str());
 
-  if (!MetricsOut.empty()) {
-    // File extension picks the exposition format: .prom/.txt gets the
-    // Prometheus text format, everything else the JSON document. "-"
-    // streams JSON to stdout (the --log-json stream convention), so the
-    // "metrics: PATH" confirmation line moves to stderr there.
-    auto EndsWith = [&](const char *Suf) {
-      size_t N = std::strlen(Suf);
-      return MetricsOut.size() >= N &&
-             MetricsOut.compare(MetricsOut.size() - N, N, Suf) == 0;
-    };
-    bool Prom = EndsWith(".prom") || EndsWith(".txt");
-    if (MetricsOut == "-") {
-      std::printf("%s\n", Metrics.toJson().dump(2).c_str());
-    } else {
-      std::ofstream Out(MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     MetricsOut.c_str());
-        return 1;
-      }
-      if (Prom)
-        Out << Metrics.toPrometheus();
-      else
-        Out << Metrics.toJson().dump(2) << "\n";
-      std::printf("metrics: %s\n", MetricsOut.c_str());
-    }
-  }
-  if (!TraceOut.empty()) {
-    std::string Error;
-    if (!Trace.saveFile(TraceOut, Error)) {
+  std::string MetricsOut = Opt.get("metrics-out");
+  if (!MetricsOut.empty() && !writeMetrics(Sinks.Metrics, MetricsOut, stdout))
+    return 1;
+  if (std::string TraceOut = Opt.get("trace-out"); !TraceOut.empty()) {
+    if (!Sinks.Trace.saveFile(TraceOut, Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
     std::printf("trace: %s (%zu events)\n", TraceOut.c_str(),
-                Trace.eventCount());
+                Sinks.Trace.eventCount());
   }
   if (!RoundLogPath.empty())
     std::printf("round log: %s (%zu round(s))\n", RoundLogPath.c_str(),
@@ -686,42 +658,15 @@ int runSynthesis(const ir::Module &M,
 }
 
 int cmdSynth(const Options &Opt) {
-  std::string Src;
-  if (!readFile(Opt.File, Src)) {
+  serve::ServeRequest Req;
+  Req.Kind = serve::ServeRequest::Op::Synth;
+  if (!readFile(Opt.File, Req.Source)) {
     std::fprintf(stderr, "error: cannot read %s\n", Opt.File.c_str());
     return 1;
   }
-  frontend::CompileResult CR = frontend::compileMiniC(Src);
-  if (!CR.Ok) {
-    std::fprintf(stderr, "%s: error: %s\n", Opt.File.c_str(),
-                 CR.Error.c_str());
-    return 1;
-  }
-  std::string Error;
-  auto Client = driver::parseClientDsl(Opt.get("client"), Error);
-  if (!Client) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  Client->InitFunc = Opt.get("init");
-
-  auto Spec = parseSpec(Opt.get("spec", "safety"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown --spec\n");
-    return 1;
-  }
-  spec::SpecFactory Factory;
-  if (*Spec == synth::SpecKind::SequentialConsistency ||
-      *Spec == synth::SpecKind::Linearizability) {
-    Factory = driver::specByName(Opt.get("seq-spec"));
-    if (!Factory) {
-      std::fprintf(stderr,
-                   "error: --spec sc/lin needs --seq-spec (one of %s)\n",
-                   join(driver::knownSpecNames(), ", ").c_str());
-      return 1;
-    }
-  }
-  return runSynthesis(CR.Module, {*Client}, Opt, Factory, *Spec);
+  Req.ClientDsl = Opt.get("client");
+  Req.InitFunc = Opt.get("init");
+  return runSynthesis(Opt, std::move(Req));
 }
 
 std::optional<synth::SpecKind> specKindByName(const std::string &S) {
@@ -809,29 +754,10 @@ int cmdBench(const Options &Opt) {
                   B.Description.c_str());
     return 0;
   }
-  const programs::Benchmark *Found = nullptr;
-  for (const programs::Benchmark &B : programs::allBenchmarks())
-    if (B.Name == Opt.File)
-      Found = &B;
-  for (const programs::Benchmark &B : programs::extendedBenchmarks())
-    if (B.Name == Opt.File)
-      Found = &B;
-  if (!Found) {
-    std::fprintf(stderr,
-                 "error: unknown benchmark (try 'dfence bench list')\n");
-    return 1;
-  }
-  frontend::CompileResult CR = frontend::compileMiniC(Found->Source);
-  if (!CR.Ok)
-    return 1;
-  auto Spec = parseSpec(
-      Opt.get("spec", Found->UseNoGarbage ? "nogarbage" : "sc"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: unknown --spec\n");
-    return 1;
-  }
-  return runSynthesis(CR.Module, Found->Clients, Opt, Found->Factory,
-                      *Spec);
+  serve::ServeRequest Req;
+  Req.Kind = serve::ServeRequest::Op::Bench;
+  Req.BenchName = Opt.File;
+  return runSynthesis(Opt, std::move(Req));
 }
 
 /// `dfence serve`: the long-lived synthesis-as-a-service daemon
@@ -896,20 +822,11 @@ int cmdServe(const Options &Opt) {
   SC.CrashDir = Opt.get("crash-dir");
   SC.SlowMs = static_cast<uint32_t>(Opt.getInt("slow-ms", 0));
 
-  std::string MetricsOut = Opt.get("metrics-out");
-  obs::Registry Metrics;
-  auto Level = obs::logLevelByName(Opt.get("log-level", "warn"));
-  if (!Level) {
-    std::fprintf(stderr, "error: --log-level must be one of "
-                         "debug|info|warn|error|off\n");
+  ObsSinks Sinks;
+  if (!attachObs(Opt, Sinks))
     return 2;
-  }
-  obs::Logger Log(*Level, Opt.has("log-json"));
-  obs::ObsContext Obs;
-  Obs.Metrics = &Metrics; // serve_* metrics are always collected.
-  if (Opt.has("log-level") || Opt.has("log-json"))
-    Obs.Log = &Log;
-  SC.Obs = &Obs;
+  Sinks.Ctx.Metrics = &Sinks.Metrics; // serve_* metrics are always collected.
+  SC.Obs = &Sinks.Ctx;
 
   serve::TransportOptions TO;
   TO.Stdio = !Opt.has("no-stdio");
@@ -928,30 +845,12 @@ int cmdServe(const Options &Opt) {
     Rc = serve::runTransport(S, TO);
   } // Server drains before the metrics flush below.
 
-  if (!MetricsOut.empty()) {
-    auto EndsWith = [&](const char *Suf) {
-      size_t N = std::strlen(Suf);
-      return MetricsOut.size() >= N &&
-             MetricsOut.compare(MetricsOut.size() - N, N, Suf) == 0;
-    };
-    if (MetricsOut == "-") {
-      // Flushed after the server drained, so stdio transport responses
-      // and the metrics document cannot interleave.
-      std::printf("%s\n", Metrics.toJson().dump(2).c_str());
-    } else {
-      std::ofstream Out(MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     MetricsOut.c_str());
-        return 1;
-      }
-      if (EndsWith(".prom") || EndsWith(".txt"))
-        Out << Metrics.toPrometheus();
-      else
-        Out << Metrics.toJson().dump(2) << "\n";
-      std::fprintf(stderr, "metrics: %s\n", MetricsOut.c_str());
-    }
-  }
+  // Flushed after the server drained, so stdio transport responses and a
+  // "-" metrics document cannot interleave; the confirmation line goes to
+  // stderr, off the response stream.
+  std::string MetricsOut = Opt.get("metrics-out");
+  if (!MetricsOut.empty() && !writeMetrics(Sinks.Metrics, MetricsOut, stderr))
+    return 1;
   return Rc;
 }
 
@@ -1026,7 +925,7 @@ int cmdFuzz(const Options &Opt) {
 
   fuzz::CampaignConfig CC;
   CC.Model = Opt.get("model", "pso");
-  auto Model = parseModel(CC.Model);
+  auto Model = serve::modelByName(CC.Model);
   if (!Model || *Model == vm::MemModel::SC) {
     std::fprintf(stderr,
                  "error: --model must be tso or pso for fuzzing\n");
@@ -1058,23 +957,10 @@ int cmdFuzz(const Options &Opt) {
     CC.ServeJobs = CC.Jobs;
   }
 
-  // Observability: same sink-attachment pattern as runSynthesis.
-  std::string MetricsOut = Opt.get("metrics-out");
-  obs::Registry Metrics;
-  auto Level = obs::logLevelByName(Opt.get("log-level", "warn"));
-  if (!Level) {
-    std::fprintf(stderr, "error: --log-level must be one of "
-                         "debug|info|warn|error|off\n");
+  ObsSinks Sinks;
+  if (!attachObs(Opt, Sinks))
     return 2;
-  }
-  obs::Logger Log(*Level, Opt.has("log-json"));
-  obs::ObsContext Obs;
-  if (!MetricsOut.empty())
-    Obs.Metrics = &Metrics;
-  if (Opt.has("log-level") || Opt.has("log-json"))
-    Obs.Log = &Log;
-  if (Obs.Metrics || Obs.Log)
-    CC.Obs = &Obs;
+  CC.Obs = Sinks.context();
 
   std::ofstream ReportFile;
   std::string ReportPath = Opt.get("report");
@@ -1133,28 +1019,9 @@ int cmdFuzz(const Options &Opt) {
     std::printf("report: %s (%llu line(s))\n", ReportPath.c_str(),
                 static_cast<unsigned long long>(R.Scenarios + 1));
 
-  if (!MetricsOut.empty()) {
-    auto EndsWith = [&](const char *Suf) {
-      size_t N = std::strlen(Suf);
-      return MetricsOut.size() >= N &&
-             MetricsOut.compare(MetricsOut.size() - N, N, Suf) == 0;
-    };
-    if (MetricsOut == "-") {
-      std::printf("%s\n", Metrics.toJson().dump(2).c_str());
-    } else {
-      std::ofstream Out(MetricsOut);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     MetricsOut.c_str());
-        return 1;
-      }
-      if (EndsWith(".prom") || EndsWith(".txt"))
-        Out << Metrics.toPrometheus();
-      else
-        Out << Metrics.toJson().dump(2) << "\n";
-      std::printf("metrics: %s\n", MetricsOut.c_str());
-    }
-  }
+  std::string MetricsOut = Opt.get("metrics-out");
+  if (!MetricsOut.empty() && !writeMetrics(Sinks.Metrics, MetricsOut, stdout))
+    return 1;
   return 0;
 }
 
