@@ -3,31 +3,22 @@
 // Measures the per-execution cost of the execution core in isolation: no
 // SAT, no enforcement, no checking — just the interpreter running the
 // synthesis hot-path configuration (CollectRepairs on, per-model flush
-// probability) over the parallel_scale workload subjects. Every
-// (subject, model) cell is timed under BOTH dispatch modes — generic
-// (runtime model dispatch, the pre-monomorphization interpreter) first,
-// then specialized (the policy-templated per-model loop) — over identical
-// seeds, so the emitted document doubles as the A/B comparison of the
-// monomorphization work. Step counts must agree exactly between the two
-// timings of a cell (the modes are one template; a mismatch is a bug)
-// and the binary exits nonzero if they don't, or if specialized is
-// slower than generic (beyond a noise margin) on any model's aggregate.
+// probability) over the parallel_scale workload subjects, one
+// (subject, model) cell at a time.
 //
 // A single pass over a cell runs in a few tens of milliseconds, too short
-// to time once. So each (subject, model) cell repeats its pass, the two
-// dispatch modes alternating, until each mode has run for at least
-// MinCellSeconds (0.5 s, and at least MinReps passes), and a cell's time
-// is the median pass time of that mode. Every pass of a cell runs the
-// same seeds, so the step count of a pass is fixed; any pass that
-// disagrees is a determinism bug and fails the run.
+// to time once. So each cell repeats its pass until it has run for at
+// least MinCellSeconds (0.5 s, and at least MinReps passes), and a cell's
+// time is its median pass time. Every pass of a cell runs the same seeds,
+// so the step count of a pass is fixed; any pass that disagrees is a
+// determinism bug and fails the run (exit 1).
 //
-// Emits BENCH_exec.json (schema "dfence-exec-throughput-v1", version 3:
-// seconds fields are sums of per-cell median pass times; per-model
-// entries gained passes). Pass a number to scale the per-(subject, model)
-// execution count per pass (default 300); pass "--smoke" for a small
-// run (three passes per cell, no time floor) that validates the pipeline
-// and the two guards above — what the bench_exec_smoke ctest entry
-// asserts.
+// Emits BENCH_exec.json (schema "dfence-exec-throughput-v1", version 4:
+// seconds fields are sums of per-cell median pass times). Pass a number
+// to scale the per-(subject, model) execution count per pass (default
+// 300); pass "--smoke" for a small run (three passes per cell, no time
+// floor) that validates the pipeline and the step check — what the
+// bench_exec_smoke ctest entry asserts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +37,6 @@
 #include <vector>
 
 using namespace dfence;
-using vm::DispatchMode;
 using vm::MemModel;
 
 namespace {
@@ -67,9 +57,8 @@ const Subject Subjects[] = {
 struct ModelRate {
   uint64_t Execs = 0;
   uint64_t Steps = 0;
-  uint64_t Passes = 0;       ///< Timed passes per mode, all cells.
-  double Seconds = 0;        ///< Specialized-dispatch median pass times.
-  double GenericSeconds = 0; ///< Generic-dispatch median pass times.
+  uint64_t Passes = 0; ///< Timed passes, all cells.
+  double Seconds = 0;  ///< Sum of the cells' median pass times.
 };
 
 double median(std::vector<double> V) {
@@ -78,18 +67,16 @@ double median(std::vector<double> V) {
   return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
 }
 
-/// Runs the cell's executions under \p Dispatch, returning wall seconds
-/// and accumulating interpreter steps into \p Steps. Same seeds and
-/// configs for both modes — only the dispatch flavor differs.
+/// Runs one pass of the cell's executions, returning wall seconds and
+/// accumulating interpreter steps into \p Steps. Every pass runs the
+/// same seeds and configs.
 double timeCell(vm::ExecContext &Ctx, const vm::PreparedProgram &Prog,
-                MemModel Model, DispatchMode Dispatch, unsigned ExecsPer,
-                uint64_t &Steps) {
+                MemModel Model, unsigned ExecsPer, uint64_t &Steps) {
   vm::ExecResult R;
   auto T0 = std::chrono::steady_clock::now();
   for (unsigned I = 0; I != ExecsPer; ++I) {
     vm::ExecConfig EC;
     EC.Model = Model;
-    EC.Dispatch = Dispatch;
     EC.Seed = 0x5eed + I;
     EC.MaxSteps = 30000;
     EC.CollectRepairs = Model != MemModel::SC;
@@ -111,9 +98,7 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Smoke = true;
-      // Large enough that the not-slower guard below sits above timer
-      // noise while the smoke entry stays sub-second.
-      ExecsPer = 60;
+      ExecsPer = 60; // Keeps the smoke entry sub-second.
       MinCellSeconds = 0;
     } else {
       ExecsPer = static_cast<unsigned>(std::atoi(Argv[I]));
@@ -126,11 +111,10 @@ int main(int Argc, char **Argv) {
   ModelRate Rates[3];
 
   std::printf("Execution core throughput (%u execs per pass, passes "
-              "repeated to >= %.1f s per subject/model/dispatch, median "
-              "pass; generic vs specialized dispatch)\n\n",
+              "repeated to >= %.1f s per subject/model, median pass)\n\n",
               ExecsPer, MinCellSeconds);
-  std::printf("%-16s %5s %10s %12s %14s %9s\n", "subject", "model",
-              "seconds", "execs/s", "steps/s", "vs gen");
+  std::printf("%-16s %5s %10s %12s %14s %7s\n", "subject", "model",
+              "seconds", "execs/s", "steps/s", "passes");
 
   for (const Subject &S : Subjects) {
     const programs::Benchmark &B = programs::benchmarkByName(S.Bench);
@@ -145,88 +129,62 @@ int main(int Argc, char **Argv) {
 
     for (size_t MI = 0; MI != 3; ++MI) {
       MemModel Model = Models[MI];
-      // Passes alternate generic and specialized (generic first: it
-      // also warms the context's capacities, so ordering favors the
-      // baseline, not us) until both modes have MinCellSeconds of timed
-      // work; the median pass is the cell's time.
-      uint64_t GenSteps = 0, SpecSteps = 0;
-      std::vector<double> GenTimes, SpecTimes;
-      double GenTotal = 0, SpecTotal = 0;
-      while (GenTimes.size() < MinReps || GenTotal < MinCellSeconds ||
-             SpecTotal < MinCellSeconds) {
-        uint64_t GS = 0, SS = 0;
-        GenTimes.push_back(timeCell(Ctx, Prog, Model,
-                                    DispatchMode::Generic, ExecsPer, GS));
-        SpecTimes.push_back(timeCell(Ctx, Prog, Model,
-                                     DispatchMode::Specialized, ExecsPer,
-                                     SS));
-        GenTotal += GenTimes.back();
-        SpecTotal += SpecTimes.back();
-        if (GenTimes.size() == 1) {
-          GenSteps = GS;
-          SpecSteps = SS;
-        }
-        // Hard equivalence check: the modes are one interpreter
-        // template and every pass runs the same seeds; any divergence
-        // in steps is a semantics bug, not noise.
-        if (GS != GenSteps || SS != SpecSteps || GenSteps != SpecSteps) {
+      // The first pass also warms the context's capacities; the median
+      // keeps it from skewing the cell's time.
+      uint64_t Steps = 0;
+      std::vector<double> Times;
+      double Total = 0;
+      while (Times.size() < MinReps || Total < MinCellSeconds) {
+        uint64_t PassSteps = 0;
+        Times.push_back(timeCell(Ctx, Prog, Model, ExecsPer, PassSteps));
+        Total += Times.back();
+        if (Times.size() == 1)
+          Steps = PassSteps;
+        // Every pass runs the same seeds: any divergence in steps is a
+        // semantics bug, not noise.
+        if (PassSteps != Steps) {
           std::fprintf(stderr,
-                       "step divergence on %s/%s: generic ran %llu "
-                       "steps, specialized %llu (first pass %llu)\n",
-                       S.Bench, vm::memModelName(Model),
-                       static_cast<unsigned long long>(GS),
-                       static_cast<unsigned long long>(SS),
-                       static_cast<unsigned long long>(GenSteps));
+                       "step divergence on %s/%s: pass %zu ran %llu "
+                       "steps, the first pass %llu\n",
+                       S.Bench, vm::memModelName(Model), Times.size(),
+                       static_cast<unsigned long long>(PassSteps),
+                       static_cast<unsigned long long>(Steps));
           return 1;
         }
       }
-      double GenSecs = median(GenTimes);
-      double SpecSecs = median(SpecTimes);
-      std::printf("%-16s %5s %10.3f %12.0f %14.0f %8.2fx\n", S.Bench,
-                  vm::memModelName(Model), SpecSecs,
-                  SpecSecs > 0 ? ExecsPer / SpecSecs : 0,
-                  SpecSecs > 0 ? static_cast<double>(SpecSteps) / SpecSecs
-                               : 0,
-                  SpecSecs > 0 ? GenSecs / SpecSecs : 0);
+      double Secs = median(Times);
+      std::printf("%-16s %5s %10.3f %12.0f %14.0f %7zu\n", S.Bench,
+                  vm::memModelName(Model), Secs,
+                  Secs > 0 ? ExecsPer / Secs : 0,
+                  Secs > 0 ? static_cast<double>(Steps) / Secs : 0,
+                  Times.size());
       Rates[MI].Execs += ExecsPer;
-      Rates[MI].Steps += SpecSteps;
-      Rates[MI].Passes += SpecTimes.size();
-      Rates[MI].Seconds += SpecSecs;
-      Rates[MI].GenericSeconds += GenSecs;
+      Rates[MI].Steps += Steps;
+      Rates[MI].Passes += Times.size();
+      Rates[MI].Seconds += Secs;
     }
   }
 
   Json Doc = Json::object();
   Doc.set("schema", Json::string("dfence-exec-throughput-v1"));
-  Doc.set("schema_version", Json::number(uint64_t(3)));
+  Doc.set("schema_version", Json::number(uint64_t(4)));
   Doc.set("execs_per_subject", Json::number(uint64_t(ExecsPer)));
   Doc.set("min_cell_seconds", Json::number(MinCellSeconds));
   Json JModels = Json::array();
-  std::printf("\naggregate over %zu subjects (specialized dispatch, "
-              "sums of median pass times; speedup vs generic):\n",
+  std::printf("\naggregate over %zu subjects (sums of median pass "
+              "times):\n",
               sizeof(Subjects) / sizeof(Subjects[0]));
-  std::printf("%5s %10s %12s %14s %9s\n", "model", "seconds", "execs/s",
-              "steps/s", "vs gen");
-  bool SpecSlower = false;
+  std::printf("%5s %10s %12s %14s\n", "model", "seconds", "execs/s",
+              "steps/s");
   for (size_t MI = 0; MI != 3; ++MI) {
     const ModelRate &R = Rates[MI];
     double ExecsPerSec =
         R.Seconds > 0 ? static_cast<double>(R.Execs) / R.Seconds : 0;
     double StepsPerSec =
         R.Seconds > 0 ? static_cast<double>(R.Steps) / R.Seconds : 0;
-    double GenExecsPerSec =
-        R.GenericSeconds > 0
-            ? static_cast<double>(R.Execs) / R.GenericSeconds
-            : 0;
-    double Speedup = R.Seconds > 0 ? R.GenericSeconds / R.Seconds : 0;
-    std::printf("%5s %10.3f %12.0f %14.0f %8.2fx\n",
+    std::printf("%5s %10.3f %12.0f %14.0f\n",
                 vm::memModelName(Models[MI]), R.Seconds, ExecsPerSec,
-                StepsPerSec, Speedup);
-    // Regression guard: monomorphization must never cost throughput.
-    // 0.85 absorbs scheduler/timer noise at smoke sizes; a real
-    // regression (specialized meaningfully slower) still trips it.
-    if (Speedup > 0 && Speedup < 0.85)
-      SpecSlower = true;
+                StepsPerSec);
     Json JM = Json::object();
     JM.set("model", Json::string(vm::memModelName(Models[MI])));
     JM.set("executions", Json::number(R.Execs));
@@ -235,9 +193,6 @@ int main(int Argc, char **Argv) {
     JM.set("seconds", Json::number(R.Seconds));
     JM.set("execs_per_sec", Json::number(ExecsPerSec));
     JM.set("steps_per_sec", Json::number(StepsPerSec));
-    JM.set("generic_seconds", Json::number(R.GenericSeconds));
-    JM.set("generic_execs_per_sec", Json::number(GenExecsPerSec));
-    JM.set("speedup_vs_generic", Json::number(Speedup));
     JModels.push(std::move(JM));
   }
   Doc.set("models", std::move(JModels));
@@ -247,12 +202,6 @@ int main(int Argc, char **Argv) {
     Out << Doc.dump(2) << "\n";
   }
   std::printf("\nwrote BENCH_exec.json%s\n", Smoke ? " (smoke)" : "");
-
-  if (SpecSlower) {
-    std::fprintf(stderr, "specialized dispatch is slower than generic on "
-                         "some model (see aggregate above)\n");
-    return 1;
-  }
 
   // Self-check: re-read the emitted document and validate its shape, so
   // the smoke ctest entry catches a malformed emitter without a parser
@@ -271,16 +220,14 @@ int main(int Argc, char **Argv) {
   const Json *Version = Parsed->find("schema_version");
   const Json *ModelsJ = Parsed->find("models");
   if (!Schema || Schema->asString() != "dfence-exec-throughput-v1" ||
-      !Version || Version->asU64() != 3 || !ModelsJ ||
+      !Version || Version->asU64() != 4 || !ModelsJ ||
       !ModelsJ->isArray() || ModelsJ->items().size() != 3) {
     std::fprintf(stderr, "BENCH_exec.json is malformed\n");
     return 1;
   }
   for (const Json &JM : ModelsJ->items())
     if (!JM.find("execs_per_sec") || !JM.find("steps_per_sec") ||
-        !JM.find("generic_execs_per_sec") ||
-        !JM.find("speedup_vs_generic") || !JM.find("passes") ||
-        JM.find("executions")->asU64() == 0) {
+        !JM.find("passes") || JM.find("executions")->asU64() == 0) {
       std::fprintf(stderr, "BENCH_exec.json has an empty model entry\n");
       return 1;
     }

@@ -13,10 +13,10 @@
 // its RoundStats into RoundRecords; consumers parse the JSON lines.
 //
 // Determinism note: most fields are deterministic (byte-identical at any
-// --jobs and either dispatch mode); RoundWallUs/SatSolveUs are wall-clock
-// and the cache-hit fields depend on the cache mode. The canonical
-// serve/CLI result serialization therefore carries only the deterministic
-// subset — the round log file is the place the rest lives.
+// --jobs); RoundWallUs/SatSolveUs are wall-clock and the cache-hit fields
+// depend on the cache mode. The canonical serve/CLI result serialization
+// therefore carries only the deterministic subset — the round log file
+// is the place the rest lives.
 //
 //===----------------------------------------------------------------------===//
 

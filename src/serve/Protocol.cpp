@@ -97,9 +97,7 @@ std::optional<ServeRequest> serve::parseRequest(const Json &J,
   if (const Json *V = J.find("seed"))
     R.Seed = V->asU64(0);
   if (const Json *V = J.find("cache"))
-    R.CacheOn = V->asString() != "off";
-  if (const Json *V = J.find("dispatch"))
-    R.Dispatch = V->asString();
+    R.Cache = V->asString();
   if (const Json *V = J.find("execMs"))
     R.ExecMs = static_cast<uint32_t>(V->asU64(0));
   if (const Json *V = J.find("retries"))
@@ -144,9 +142,9 @@ std::optional<ServeRequest> serve::parseRequest(const Json &J,
 }
 
 /// Fills the synthesis knobs of \p Cfg from \p R: the flush portfolio,
-/// enforcement mode, cache, dispatch and resilience policy. Every
-/// synthesis front end (daemon, one-shot CLI, fuzzer) gets its config
-/// from here, so the same request always builds the same configuration.
+/// enforcement mode, cache and resilience policy. Every synthesis front
+/// end (daemon, one-shot CLI, fuzzer) gets its config from here, so the
+/// same request always builds the same configuration.
 static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
                        synth::SpecKind Spec,
                        const spec::SpecFactory &Factory,
@@ -157,6 +155,14 @@ static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
   Cfg.ExecsPerRound = R.K;
   Cfg.MaxRounds = R.Rounds;
   Cfg.MaxRepairRounds = Cfg.MaxRounds;
+  // A probability; negative selects the model default (not NaN: it fails
+  // every comparison and must not slip through as "default").
+  if (!(R.Flush <= 1.0)) {
+    Error = strformat("flush %g is not a probability (at most 1; < 0 = "
+                      "model default)",
+                      R.Flush);
+    return false;
+  }
   if (R.Flush >= 0) {
     Cfg.FlushProb = R.Flush;
   } else if (Model == vm::MemModel::TSO) {
@@ -178,17 +184,11 @@ static bool fillConfig(const ServeRequest &R, vm::MemModel Model,
   Cfg.MergeFences = !R.NoMerge;
   if (R.Seed != 0)
     Cfg.BaseSeed = R.Seed;
-  Cfg.CacheEnabled = R.CacheOn;
-  // Empty = the config default (specialized); the server then substitutes
-  // its own ServeConfig::Dispatch for requests that left it empty.
-  if (R.Dispatch == "generic")
-    Cfg.Dispatch = vm::DispatchMode::Generic;
-  else if (R.Dispatch == "specialized")
-    Cfg.Dispatch = vm::DispatchMode::Specialized;
-  else if (!R.Dispatch.empty()) {
-    Error = "unknown dispatch mode '" + R.Dispatch + "'";
+  if (R.Cache != "on" && R.Cache != "off") {
+    Error = "unknown cache mode '" + R.Cache + "' (on|off)";
     return false;
   }
+  Cfg.CacheEnabled = R.Cache == "on";
   Cfg.Exec.ExecWallMs = R.ExecMs;
   Cfg.Exec.MaxRetries = R.Retries;
   Cfg.RoundWallMs = R.RoundMs;

@@ -333,10 +333,6 @@ Json Server::runJob(Pending &P, unsigned Slot) {
 
   Job->Cfg.CacheEnabled = Cfg.CacheEnabled && Job->Cfg.CacheEnabled;
   Job->Cfg.ExecResultCache = &Cache;
-  // Requests that chose a dispatch mode keep it (prepareJob applied it);
-  // the rest inherit the server default.
-  if (P.Req.Dispatch.empty())
-    Job->Cfg.Dispatch = Cfg.Dispatch;
   if (P.DL.armed()) {
     uint32_t Rem = P.DL.remainingMs();
     if (Job->Cfg.TotalWallMs == 0 || Job->Cfg.TotalWallMs > Rem)

@@ -93,10 +93,6 @@ struct ServeConfig {
   /// (requests can individually opt out with "cache":"off").
   bool CacheEnabled = true;
   size_t CacheCapacity = 1 << 15; ///< Total, split across shards.
-  /// Default interpreter dispatch for requests that do not carry their
-  /// own "dispatch" knob (`dfence serve --dispatch`). Byte-identical
-  /// results either way; the generic mode exists for A/B and debugging.
-  vm::DispatchMode Dispatch = vm::DispatchMode::Specialized;
   /// Directory for crash reports and captured repro bundles; empty
   /// disables the on-disk reports (responses still carry the status).
   std::string CrashDir;

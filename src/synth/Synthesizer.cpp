@@ -141,7 +141,6 @@ static exec::RoundPlan planRound(const SynthConfig &Cfg,
     P.ClientIdx = static_cast<uint32_t>(G % NumClients);
     vm::ExecConfig &EC = P.EC;
     EC.Model = Cfg.Model;
-    EC.Dispatch = Cfg.Dispatch;
     EC.Seed = Cfg.BaseSeed + G;
     EC.MaxSteps = Cfg.MaxStepsPerExec;
     EC.CollectRepairs = true;
@@ -260,14 +259,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       obs::counterOrNull(Cfg.Obs, "cache_exec_hits");
   obs::Counter *CacheExecMissesC =
       obs::counterOrNull(Cfg.Obs, "cache_exec_misses");
-  // Dispatch counters are folded per ran slot on the merge thread (the
-  // slot set is identical with caching on or off, so the cache stays
-  // invisible in the counter snapshot minus the cache_* AND
-  // exec_dispatch_* prefixes compared by the differential tests).
-  obs::Counter *DispatchSpecC =
-      obs::counterOrNull(Cfg.Obs, "exec_dispatch_specialized");
-  obs::Counter *DispatchGenC =
-      obs::counterOrNull(Cfg.Obs, "exec_dispatch_generic");
   // Flight recorder (optional). Exec-side phases accumulate on the round
   // workers; the merge-thread phases (sat_solve, enforce, fold) and the
   // per-round remainder are observed below. Phase times are wall-clock
@@ -509,10 +500,6 @@ SynthResult synth::synthesize(const ir::Module &M,
       ++Result.TotalExecutions;
       ++Stats.Executions;
       OBS_COUNT(ExecsC, 1);
-      if (P.EC.Dispatch == vm::DispatchMode::Specialized)
-        OBS_COUNT(DispatchSpecC, 1);
-      else
-        OBS_COUNT(DispatchGenC, 1);
       OBS_COUNT(VmStepsC, R.Steps);
       OBS_COUNT(VmFlushesC, R.Stats.Flushes);
       OBS_COUNT(VmSchedStepsC, R.Stats.SchedSteps);

@@ -100,14 +100,8 @@ struct SynthConfig {
   /// workers.
   exec::PoolSlice *Slice = nullptr;
 
-  /// Interpreter dispatch mode forwarded to every execution (`dfence
-  /// --dispatch specialized|generic`). Specialized binds each execution
-  /// to the monomorphized per-model interpreter (policy-typed store
-  /// buffers, threaded opcode dispatch); generic runs the runtime-
-  /// dispatched loop. Semantically identical by construction — both are
-  /// one template in ExecContext.cpp, results and step counts are
-  /// byte-identical (DispatchDifferentialTest is the gate) — so this is
-  /// a performance escape hatch, never part of any cache key.
+  /// Unread; exists only so the benchmark driver compiles, and goes with
+  /// the next change to the benchmark.
   vm::DispatchMode Dispatch = vm::DispatchMode::Specialized;
 
   EnforceMode Mode = EnforceMode::Fence;
@@ -205,11 +199,11 @@ const char *synthStatusName(SynthStatus S);
 /// Per-round synthesis statistics (drives the Fig. 4 reproduction and
 /// the flight recorder's convergence telemetry). Fields up to and
 /// including SatPropagations are deterministic — byte-identical at any
-/// --jobs width and either dispatch mode, and (except the cache hit/miss
-/// counts) across cache modes; the canonical result serialization
-/// (serve::resultToJson) carries only that deterministic, cache-invariant
-/// subset. The wall-clock fields at the end are machine-dependent and
-/// only ever reach the round log file and the phase histograms.
+/// --jobs width, and (except the cache hit/miss counts) across cache
+/// modes; the canonical result serialization (serve::resultToJson)
+/// carries only that deterministic, cache-invariant subset. The
+/// wall-clock fields at the end are machine-dependent and only ever reach
+/// the round log file and the phase histograms.
 struct RoundStats {
   unsigned Round = 0;
   uint64_t Executions = 0;

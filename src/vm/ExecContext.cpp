@@ -12,20 +12,14 @@
 // engine, which is what keeps recorded replay traces reproducing.
 //
 // The interpreter loops are written once as templates over a memory-model
-// policy and instantiated four ways. The three specialized policies carry
-// their model as a constexpr, so bufOf<MP> resolves every store-buffer
-// call to one concrete policy class (ScBuffer/TsoBuffer/PsoBuffer — fully
-// inlined, zero model branches) and modelOf<MP> constant-folds every
-// model comparison; opcode dispatch then goes through a computed-goto
-// jump table indexed by the prepared program's pre-translated OpIdx
-// stream (a plain switch on compilers without the extension). The generic
-// policy reads the model tag at runtime through the StoreBufferSet facade
-// — exactly the pre-monomorphization interpreter — and exists as the
-// `--dispatch generic` A/B + debugging path. Both modes share this one
-// template, so they cannot drift semantically: DispatchDifferentialTest
-// pins byte-identical results, and the init thread (which always runs
-// under SC regardless of Cfg.Model) steps through the SC policy in
-// specialized mode and through the facade's SC tag in generic mode.
+// policy and instantiated once per model. Each policy carries its model as
+// a constexpr, so bufOf<MP> resolves every store-buffer call to one
+// concrete policy class (ScBuffer/TsoBuffer/PsoBuffer — fully inlined,
+// zero model branches) and every model comparison constant-folds; opcode
+// dispatch goes through a computed-goto jump table indexed by the
+// prepared program's pre-translated OpIdx stream (a plain switch on
+// compilers without the extension). The init thread always runs under SC
+// regardless of Cfg.Model, so it steps through the SC instantiation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +31,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <type_traits>
 
 using namespace dfence;
 using namespace dfence::vm;
@@ -53,29 +46,15 @@ using namespace dfence::ir;
 
 namespace {
 
-/// Runtime-dispatched policy: the model tag is read per operation from
-/// Cfg.Model / the thread's buffer (the StoreBufferSet facade).
-struct GenericPolicy {
-  static constexpr bool Specialized = false;
-};
-
-/// Monomorphized policy: the model is a compile-time constant and every
+/// Interpreter policy: the model is a compile-time constant and every
 /// buffer operation binds to the model's policy class.
 template <MemModel M> struct ModelPolicy {
-  static constexpr bool Specialized = true;
   static constexpr MemModel Model = M;
 };
 
 using ScPolicy = ModelPolicy<MemModel::SC>;
 using TsoPolicy = ModelPolicy<MemModel::TSO>;
 using PsoPolicy = ModelPolicy<MemModel::PSO>;
-
-/// The policy the init function steps under: always SC semantics (the
-/// init thread is unbuffered regardless of Cfg.Model). Under the generic
-/// policy the facade's SC tag provides that; under a specialized policy
-/// the SC policy class does.
-template <class MP>
-using InitPolicy = std::conditional_t<MP::Specialized, ScPolicy, MP>;
 
 /// Per-opcode "next step is a scheduling point" table, indexed by the
 /// prepared OpIdx stream: Instr::isSharedAccess() plus the opcodes the
@@ -129,21 +108,23 @@ struct ExecContext::Thread {
   uint32_t Tid = 0;
   std::vector<Frame> Frames;
   std::vector<Word> RegArena;
-  StoreBufferSet Buf;
+  /// The thread's write buffers, one per model; only the one matching the
+  /// model the thread steps under ever holds entries.
+  ScBuffer Sc;
+  TsoBuffer Tso;
+  PsoBuffer Pso;
   const ThreadScript *Script = nullptr;   ///< Null for spawned threads.
   const PreparedThread *Prep = nullptr;   ///< Resolved callees of Script.
   size_t ScriptPos = 0;
   std::vector<Word> CallResults; ///< Return values of completed calls.
   bool DoneFlag = false;
 
-  Thread() : Buf(MemModel::SC) {}
-
-  void reset(uint32_t T, MemModel M, const ThreadScript *S,
-             const PreparedThread *P) {
+  void reset(uint32_t T, const ThreadScript *S, const PreparedThread *P) {
     Tid = T;
     Frames.clear();
     RegArena.clear();
-    Buf.reset(M);
+    Tso.reset();
+    Pso.reset();
     Script = S;
     Prep = P;
     ScriptPos = 0;
@@ -184,21 +165,12 @@ struct ExecContext::Thread {
 };
 
 template <class MP> decltype(auto) ExecContext::bufOf(Thread &T) {
-  if constexpr (!MP::Specialized)
-    return (T.Buf);
-  else if constexpr (MP::Model == MemModel::SC)
-    return (T.Buf.sc());
+  if constexpr (MP::Model == MemModel::SC)
+    return (T.Sc);
   else if constexpr (MP::Model == MemModel::TSO)
-    return (T.Buf.tso());
+    return (T.Tso);
   else
-    return (T.Buf.pso());
-}
-
-template <class MP> MemModel ExecContext::modelOf() const {
-  if constexpr (MP::Specialized)
-    return MP::Model;
-  else
-    return Cfg.Model;
+    return (T.Pso);
 }
 
 ExecContext::ExecContext() = default;
@@ -212,12 +184,11 @@ void ExecContext::violate(Outcome O, std::string Msg) {
   Result->Message = std::move(Msg);
 }
 
-ExecContext::Thread &ExecContext::acquireThread(uint32_t Tid,
-                                                MemModel Model) {
+ExecContext::Thread &ExecContext::acquireThread(uint32_t Tid) {
   if (LiveThreads == Threads.size())
     Threads.push_back(std::make_unique<Thread>());
   Thread &T = *Threads[LiveThreads++];
-  T.reset(Tid, Model, nullptr, nullptr);
+  T.reset(Tid, nullptr, nullptr);
   return T;
 }
 
@@ -232,13 +203,13 @@ void ExecContext::layoutGlobals() {
   }
 }
 
-template <class MP> void ExecContext::runInitT() {
+void ExecContext::runInit() {
   // The init function runs to completion, alone, with SC semantics: a
   // dedicated SC-buffered (i.e. unbuffered) thread stepping until done.
   if (!InitThread)
     InitThread = std::make_unique<Thread>();
   Thread &Init = *InitThread;
-  Init.reset(~0u, MemModel::SC, nullptr, nullptr);
+  Init.reset(~0u, nullptr, nullptr);
   Init.pushFrame(*P, PC->Init);
   size_t InitSteps = 0;
   while (!Init.Frames.empty() && !Halted) {
@@ -248,7 +219,7 @@ template <class MP> void ExecContext::runInitT() {
     }
     if ((InitSteps & 1023) == 0 && deadlineExpired())
       return;
-    stepThreadT<InitPolicy<MP>>(Init);
+    stepThreadT<ScPolicy>(Init);
   }
 }
 
@@ -260,7 +231,7 @@ void ExecContext::createClientThreads() {
   if (Cfg.RecordTrace)
     Result->Trace.reserve(std::min<size_t>(Cfg.MaxSteps, 1 << 14));
   for (size_t I = 0, E = C.Threads.size(); I != E; ++I) {
-    Thread &T = acquireThread(static_cast<uint32_t>(I), Cfg.Model);
+    Thread &T = acquireThread(static_cast<uint32_t>(I));
     T.Script = &C.Threads[I];
     T.Prep = &PC->Threads[I];
   }
@@ -315,11 +286,11 @@ bool ExecContext::checkAddr(Word Addr, const char *What, InstrId Label) {
 template <class MP>
 void ExecContext::collectRepairsT(Thread &T, InstrId K, Word Addr,
                                   bool IsLoad) {
-  if (!Cfg.CollectRepairs || modelOf<MP>() == MemModel::SC)
+  if (!Cfg.CollectRepairs || MP::Model == MemModel::SC)
     return;
   // Under TSO only store→load reordering is possible, so only later loads
   // yield ordering predicates; PSO additionally relaxes store→store.
-  if (modelOf<MP>() == MemModel::TSO && !IsLoad)
+  if (MP::Model == MemModel::TSO && !IsLoad)
     return;
   LabelScratch.clear();
   bufOf<MP>(T).pendingLabelsExcept(Addr, LabelScratch);
@@ -411,7 +382,7 @@ template <class MP>
 void ExecContext::flushOneT(Thread &T, bool HasVar, Word Var) {
   decltype(auto) B = bufOf<MP>(T);
   assert(!B.empty() && "flush of empty buffer");
-  BufferEntry E = (HasVar && modelOf<MP>() == MemModel::PSO)
+  BufferEntry E = (HasVar && MP::Model == MemModel::PSO)
                       ? B.popOldestFor(Var)
                       : B.popOldest();
   // The FLUSH rule is where delayed stores become visible; the paper
@@ -426,7 +397,7 @@ void ExecContext::flushOneT(Thread &T, bool HasVar, Word Var) {
 template <class MP>
 void ExecContext::drainForAtomicT(Thread &T, Word Addr) {
   decltype(auto) B = bufOf<MP>(T);
-  if (modelOf<MP>() == MemModel::PSO && !B.emptyFor(Addr)) {
+  if (MP::Model == MemModel::PSO && !B.emptyFor(Addr)) {
     BufferEntry E = B.popOldestFor(Addr);
     ++Result->Stats.Flushes;
     if (!checkAddr(E.Addr, "flush of buffered store", E.Label))
@@ -454,8 +425,8 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
   decltype(auto) B = bufOf<MP>(T);
 
   // Flight recorder: per-opcode step counts come straight off the
-  // prepared dispatch stream — one array increment, both dispatch modes
-  // (they share this template). Null shard = no work at all.
+  // prepared dispatch stream — one array increment. Null shard = no work
+  // at all.
   if (PShard)
     ++PShard->OpSteps[F.OpIdx[F.Ip]];
 
@@ -528,15 +499,9 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
     Word Addr = T.reg(F, I.Ops[0]);
     Word Val = T.reg(F, I.Ops[1]);
     collectRepairsT<MP>(T, I.Id, Addr, /*IsLoad=*/false);
-    // Buffering keys off the *thread's* model, not Cfg.Model: the init
-    // thread always runs SC (specialized mode steps it through the SC
-    // policy, so BufModel folds to a constant in every instantiation).
-    MemModel BufModel;
-    if constexpr (MP::Specialized)
-      BufModel = MP::Model;
-    else
-      BufModel = T.Buf.model();
-    if (BufModel == MemModel::SC) {
+    // MP is the *thread's* model, not Cfg.Model: the init thread always
+    // steps through the SC instantiation.
+    if (MP::Model == MemModel::SC) {
       if (!checkAddr(Addr, "store", I.Id))
         return true;
       Mem.write(Addr, Val);
@@ -678,7 +643,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
     // [pending-store ≺ return] so enforcement can place a fence at the
     // end of the method (the paper's "(m, line:-)" inter-op fences).
     if (WasTopLevel && Cfg.CollectRepairs && Cfg.InterOpPredicates &&
-        !B.empty() && modelOf<MP>() != MemModel::SC) {
+        !B.empty() && MP::Model != MemModel::SC) {
       LabelScratch.clear();
       B.pendingLabelsExcept(static_cast<Word>(-1), LabelScratch);
       for (InstrId L : LabelScratch)
@@ -707,7 +672,7 @@ template <class MP> bool ExecContext::stepThreadT(Thread &T) {
     for (size_t A = 0; A != I.Ops.size(); ++A)
       ArgScratch.push_back(T.reg(F, I.Ops[A]));
     uint32_t NewTid = static_cast<uint32_t>(LiveThreads);
-    Thread &NewT = acquireThread(NewTid, Cfg.Model);
+    Thread &NewT = acquireThread(NewTid);
     Thread::Frame &NewF = NewT.pushFrame(*P, I.Callee);
     for (size_t A = 0; A != ArgScratch.size(); ++A)
       NewT.reg(NewF, static_cast<Reg>(A)) = ArgScratch[A];
@@ -865,7 +830,7 @@ template <class MP> void ExecContext::mainLoopT() {
       }
       // A per-variable flush of a variable with nothing pending (possible
       // only with a foreign trace) degrades to a positional flush.
-      if (A.HasVar && modelOf<MP>() == MemModel::PSO &&
+      if (A.HasVar && MP::Model == MemModel::PSO &&
           B.emptyFor(A.Var))
         A.HasVar = false;
       flushOneT<MP>(T, A.HasVar, A.Var);
@@ -928,7 +893,7 @@ template <class MP> void ExecContext::runLoops() {
   Sched->reset();
   layoutGlobals();
   if (PC->HasInit && !Halted)
-    runInitT<MP>();
+    runInit();
   createClientThreads();
   if (!Halted)
     mainLoopT<MP>();
@@ -986,18 +951,11 @@ void ExecContext::run(const PreparedProgram &Prog, size_t ClientIdx,
     Sched = &OwnedSched;
   }
 
-  // Bind the interpreter once per execution: specialized dispatch picks
-  // the model's monomorphized instantiation, generic runs the runtime-
-  // dispatched one. Identical semantics either way (the loops are one
-  // template); only the machine code differs.
-  if (Cfg.Dispatch == DispatchMode::Specialized) {
-    switch (Cfg.Model) {
-    case MemModel::SC:  runLoops<ScPolicy>(); break;
-    case MemModel::TSO: runLoops<TsoPolicy>(); break;
-    case MemModel::PSO: runLoops<PsoPolicy>(); break;
-    }
-  } else {
-    runLoops<GenericPolicy>();
+  // Bind the interpreter once per execution: the model's instantiation.
+  switch (Cfg.Model) {
+  case MemModel::SC:  runLoops<ScPolicy>(); break;
+  case MemModel::TSO: runLoops<TsoPolicy>(); break;
+  case MemModel::PSO: runLoops<PsoPolicy>(); break;
   }
   Out.Steps = Steps;
 

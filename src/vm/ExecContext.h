@@ -77,15 +77,13 @@ private:
 
   // Per-run driver steps (the old per-execution engine, now operating on
   // reset-in-place state). The loops are templated over a memory-model
-  // policy `MP` (see ExecContext.cpp): the specialized policies carry a
-  // constexpr model so every store-buffer call inlines against one policy
-  // class and every model comparison constant-folds; the generic policy
-  // reads Cfg.Model / the thread's buffer tag at runtime, reproducing
-  // the pre-monomorphization interpreter exactly. run() binds the policy
-  // once per execution from (Cfg.Dispatch, Cfg.Model).
+  // policy `MP` (see ExecContext.cpp) carrying a constexpr model, so every
+  // store-buffer call inlines against one policy class and every model
+  // comparison constant-folds. run() binds the policy once per execution
+  // from Cfg.Model.
   template <class MP> void runLoops();
   void layoutGlobals();
-  template <class MP> void runInitT();
+  void runInit();
   void createClientThreads();
   template <class MP> void mainLoopT();
   template <class MP> void refreshViewT(Thread &T);
@@ -103,14 +101,11 @@ private:
   sched::Action applyForcedSwitch(sched::Action A);
   bool checkAddr(Word Addr, const char *What, ir::InstrId Label);
   void violate(Outcome O, std::string Msg);
-  Thread &acquireThread(uint32_t Tid, MemModel Model);
+  Thread &acquireThread(uint32_t Tid);
 
-  /// The buffer the policy steps against: the matching policy object
-  /// under a specialized policy, the runtime facade under the generic
-  /// one. Defined (and only used) in ExecContext.cpp.
+  /// The thread's buffer for the policy's model. Defined (and only used)
+  /// in ExecContext.cpp.
   template <class MP> static decltype(auto) bufOf(Thread &T);
-  /// Cfg.Model, constant-folded under a specialized policy.
-  template <class MP> MemModel modelOf() const;
 
   // Long-lived state, reset (not reallocated) per run.
   Memory Mem;

@@ -140,14 +140,26 @@ TEST(CliObsSmokeTest, PrometheusExtensionSelectsTextFormat) {
 }
 
 TEST(CliObsSmokeTest, UnknownFlagExitsTwoWithPointedError) {
-  std::string Out;
-  int Exit = runCommand(std::string(DFENCE_BIN) +
-                            " bench \"MSN Queue\" --bogus-flag 1",
-                        Out);
-  EXPECT_EQ(Exit, 2);
-  EXPECT_NE(Out.find("unknown flag '--bogus-flag'"), std::string::npos)
-      << Out;
-  EXPECT_NE(Out.find("--help"), std::string::npos) << Out;
+  const char *Commands[] = {" bench \"MSN Queue\"",
+                            " synth missing.mc --client \"f()\"",
+                            " serve", " fuzz"};
+  const char *Flags[] = {
+      "--bogus-flag",
+      // The retired interpreter-dispatch knob: one interpreter remains.
+      "--dispatch",
+  };
+  for (const char *Cmd : Commands)
+    for (const char *Flag : Flags) {
+      std::string Out;
+      int Exit = runCommand(std::string(DFENCE_BIN) + Cmd + " " + Flag +
+                                " specialized",
+                            Out);
+      EXPECT_EQ(Exit, 2) << Cmd << " " << Flag << ": " << Out;
+      EXPECT_NE(Out.find("unknown flag '" + std::string(Flag) + "'"),
+                std::string::npos)
+          << Cmd << " " << Flag << ": " << Out;
+      EXPECT_NE(Out.find("--help"), std::string::npos) << Out;
+    }
 }
 
 TEST(CliObsSmokeTest, MissingFlagValueExitsTwo) {
@@ -516,8 +528,8 @@ TEST(CliServeContractTest, ConfigErrorsExitOneWithPrepareJobsReason) {
       {"--model sc", [](serve::ServeRequest &R) { R.Model = "sc"; }},
       {"--enforce bogus",
        [](serve::ServeRequest &R) { R.Enforce = "bogus"; }},
-      {"--dispatch bogus",
-       [](serve::ServeRequest &R) { R.Dispatch = "bogus"; }},
+      {"--flush 7", [](serve::ServeRequest &R) { R.Flush = 7; }},
+      {"--cache maybe", [](serve::ServeRequest &R) { R.Cache = "maybe"; }},
       {"--spec lin", [](serve::ServeRequest &R) { R.Spec = "lin"; }},
   };
   for (const auto &Case : Cases) {

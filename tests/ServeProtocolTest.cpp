@@ -80,7 +80,7 @@ TEST(ServeProtocol, DefaultsMatchTheOneShotCli) {
   EXPECT_EQ(R->Rounds, 16u);
   EXPECT_LT(R->Flush, 0.0); // Per-model portfolio, like the CLI.
   EXPECT_EQ(R->Enforce, "fence");
-  EXPECT_TRUE(R->CacheOn);
+  EXPECT_EQ(R->Cache, "on");
   EXPECT_FALSE(R->NoMerge);
   EXPECT_EQ(R->Retries, 2u);
   EXPECT_EQ(R->DeadlineMs, 0u);
@@ -206,6 +206,44 @@ TEST(ServeProtocol, PrepareJobErrorsAreStructuredNotFatal) {
       Error);
   ASSERT_TRUE(R) << Error;
   EXPECT_FALSE(prepareJob(*R, Error));
+}
+
+TEST(ServeProtocol, PrepareJobChecksFlushAndCacheKnobs) {
+  auto Prepare = [](const std::string &Knobs, std::string &Error) {
+    auto R = parseRequest(
+        parseOrDie("{\"op\":\"bench\",\"bench\":\"MS2 Queue\"" + Knobs +
+                   "}"),
+        Error);
+    EXPECT_TRUE(R) << Knobs << ": " << Error;
+    return R ? prepareJob(*R, Error) : std::nullopt;
+  };
+  std::string Error;
+  // flush is a probability; negative means the model default.
+  for (const char *Bad : {",\"flush\":7", ",\"flush\":1.5"}) {
+    EXPECT_FALSE(Prepare(Bad, Error)) << Bad;
+    EXPECT_NE(Error.find("not a probability"), std::string::npos)
+        << Bad << ": " << Error;
+  }
+  auto Job = Prepare(",\"flush\":1", Error);
+  ASSERT_TRUE(Job) << Error;
+  EXPECT_DOUBLE_EQ(Job->Cfg.FlushProb, 1.0);
+  EXPECT_TRUE(Job->Cfg.FlushProbs.empty());
+  Job = Prepare(",\"flush\":-1", Error);
+  ASSERT_TRUE(Job) << Error;
+  EXPECT_EQ(Job->Cfg.FlushProbs.size(), 2u); // The PSO portfolio.
+
+  // cache is on|off, nothing else.
+  EXPECT_FALSE(Prepare(",\"cache\":\"maybe\"", Error));
+  EXPECT_EQ(Error, "unknown cache mode 'maybe' (on|off)");
+  Job = Prepare(",\"cache\":\"off\"", Error);
+  ASSERT_TRUE(Job) << Error;
+  EXPECT_FALSE(Job->Cfg.CacheEnabled);
+  Job = Prepare(",\"cache\":\"on\"", Error);
+  ASSERT_TRUE(Job) << Error;
+  EXPECT_TRUE(Job->Cfg.CacheEnabled);
+
+  // The retired "dispatch" knob is an unknown key now: ignored.
+  EXPECT_TRUE(Prepare(",\"dispatch\":\"generic\"", Error)) << Error;
 }
 
 TEST(ServeProtocol, BenchJobUsesTheBenchmarksOwnSpec) {

@@ -136,8 +136,9 @@ void printHelp(FILE *Out) {
       "threads\n"
       "  --model sc|tso|pso  memory model (default pso)\n"
       "  --seeds N           number of executions (default 1000)\n"
-      "  --flush P           scheduler flush probability (default: "
-      "0.1 tso, 0.5 otherwise)\n"
+      "  --flush P           scheduler flush probability in [0, 1] "
+      "(default or\n"
+      "                      negative: 0.1 tso, 0.5 otherwise)\n"
       "\n"
       "synth / bench flags:\n"
       "  --client DSL        client script (synth only; bench has "
@@ -148,8 +149,9 @@ void printHelp(FILE *Out) {
       "  --seq-spec NAME     sequential spec, one of: %s\n"
       "  --k N               executions per round (default 1000)\n"
       "  --rounds N          maximum rounds (default 16)\n"
-      "  --flush P           flush probability (default: per-model "
-      "portfolio)\n"
+      "  --flush P           flush probability in [0, 1] (default or "
+      "negative:\n"
+      "                      per-model portfolio)\n"
       "  --enforce MODE      fence|cas|atomic (default fence)\n"
       "  --no-merge          keep redundant fences\n"
       "  --dump              print the fenced module\n"
@@ -160,11 +162,6 @@ void printHelp(FILE *Out) {
       "  --cache on|off      cross-round execution cache (default on; "
       "results are\n"
       "                      byte-identical either way)\n"
-      "  --dispatch MODE     specialized|generic interpreter dispatch "
-      "(default\n"
-      "                      specialized: monomorphized per-model loop; "
-      "results\n"
-      "                      are byte-identical either way)\n"
       "  --exec-ms N         per-execution wall-clock watchdog\n"
       "  --retries N         retry budget for discarded executions "
       "(default 2)\n"
@@ -199,9 +196,6 @@ void printHelp(FILE *Out) {
       "  --cache on|off      shared cross-request execution cache\n"
       "  --cache-capacity N  entries in the shared cache (default "
       "32768)\n"
-      "  --dispatch MODE     specialized|generic default interpreter "
-      "dispatch for\n"
-      "                      requests that do not choose one\n"
       "  --crash-dir DIR     where crash reports and repro bundles are "
       "written\n"
       "  --listen PORT       accept JSON-lines connections on "
@@ -239,7 +233,6 @@ void printHelp(FILE *Out) {
       "  --jobs N            worker threads (0 = hardware; results are\n"
       "                      bit-identical at any N)\n"
       "  --cache on|off      execution cache (default on)\n"
-      "  --dispatch MODE     specialized|generic interpreter dispatch\n"
       "  --report FILE       write the JSONL campaign report (one line "
       "per\n"
       "                      scenario plus a summary line)\n"
@@ -280,15 +273,14 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
       {"synth",
        {"client", "init", "model", "spec", "seq-spec", "k", "rounds",
         "flush", "enforce", "=no-merge", "=dump", "jobs", "cache",
-        "dispatch", "exec-ms", "retries", "round-ms", "total-ms",
-        "wall-clock", "repro", "metrics-out", "trace-out", "round-log",
-        "log-level", "=log-json"}},
+        "exec-ms", "retries", "round-ms", "total-ms", "wall-clock",
+        "repro", "metrics-out", "trace-out", "round-log", "log-level",
+        "=log-json"}},
       {"bench",
        {"model", "spec", "seq-spec", "k", "rounds", "flush", "enforce",
-        "=no-merge", "=dump", "jobs", "cache", "dispatch", "exec-ms",
-        "retries", "round-ms", "total-ms", "wall-clock", "repro",
-        "metrics-out", "trace-out", "round-log", "log-level",
-        "=log-json"}},
+        "=no-merge", "=dump", "jobs", "cache", "exec-ms", "retries",
+        "round-ms", "total-ms", "wall-clock", "repro", "metrics-out",
+        "trace-out", "round-log", "log-level", "=log-json"}},
       // replay knows "round-log" only to reject it with a specific
       // message: a replay runs no rounds, and silently writing an empty
       // log would look like a successful-but-empty run.
@@ -296,16 +288,15 @@ const std::map<std::string, std::vector<const char *>> &knownFlags() {
       {"serve",
        {"jobs", "slots", "jobs-per-slot", "queue", "deadline-ms",
         "request-retries",
-        "retry-backoff-ms", "cache", "cache-capacity", "dispatch",
-        "crash-dir",
+        "retry-backoff-ms", "cache", "cache-capacity", "crash-dir",
         "listen", "socket", "metrics-port", "=no-stdio", "metrics-out",
         "slow-ms", "log-level", "=log-json"}},
       // fuzz owns --fuzz-seed; the strict per-command tables are what
       // reject it on every other command (CliObsSmokeTest pins that).
       {"fuzz",
        {"fuzz-seed", "count", "ops", "threads", "families", "=no-litmus",
-        "via-serve", "model", "k", "rounds", "jobs", "cache", "dispatch",
-        "report", "metrics-out", "log-level", "=log-json"}},
+        "via-serve", "model", "k", "rounds", "jobs", "cache", "report",
+        "metrics-out", "log-level", "=log-json"}},
   };
   return Table;
 }
@@ -464,9 +455,18 @@ int cmdLitmus(const Options &Opt) {
   }
   long Seeds = Opt.getInt("seeds", 1000);
   // The paper's tuned flush-delay probabilities per model (§6.3); an
-  // explicit --flush always wins.
-  double Flush = Opt.has("flush") ? Opt.getDouble("flush", 0.5)
-                                  : vm::defaultFlushProb(*Model);
+  // explicit --flush in [0, 1] wins, a negative one means the default —
+  // the rule prepareJob applies to synthesis.
+  double Flush = Opt.getDouble("flush", -1.0);
+  if (!(Flush <= 1.0)) {
+    std::fprintf(stderr,
+                 "error: flush %g is not a probability (at most 1; < 0 = "
+                 "model default)\n",
+                 Flush);
+    return 1;
+  }
+  if (Flush < 0)
+    Flush = vm::defaultFlushProb(*Model);
 
   std::map<std::string, int> Hist;
   int Violations = 0;
@@ -508,7 +508,7 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
   Req.Rounds = static_cast<unsigned>(Opt.getInt("rounds", Req.Rounds));
   Req.Flush = Opt.getDouble("flush", Req.Flush);
   Req.NoMerge = Opt.has("no-merge");
-  Req.Dispatch = Opt.get("dispatch");
+  Req.Cache = Opt.get("cache", Req.Cache);
   Req.ExecMs = static_cast<uint32_t>(Opt.getInt("exec-ms", Req.ExecMs));
   Req.Retries = static_cast<unsigned>(Opt.getInt("retries", Req.Retries));
   Req.RoundMs = static_cast<uint32_t>(Opt.getInt("round-ms", Req.RoundMs));
@@ -522,17 +522,11 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
                     : TotalMs;
   std::string ReproPath = Opt.get("repro");
   Req.CaptureBundles = !ReproPath.empty();
-  std::string CacheMode = Opt.get("cache", "on");
-  Req.CacheOn = CacheMode == "on";
 
   std::string Error;
   std::optional<serve::SynthJob> Job = serve::prepareJob(Req, Error);
   if (!Job) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  if (CacheMode != "on" && CacheMode != "off") {
-    std::fprintf(stderr, "error: --cache must be 'on' or 'off'\n");
     return 1;
   }
   synth::SynthConfig &Cfg = Job->Cfg;
@@ -577,7 +571,7 @@ int runSynthesis(const Options &Opt, serve::ServeRequest Req) {
   std::printf("model: %s, spec: %s, K=%u, jobs=%u, cache=%s\n",
               vm::memModelName(Cfg.Model), synth::specKindName(Cfg.Spec),
               Cfg.ExecsPerRound, exec::resolveJobs(Cfg.Jobs),
-              CacheMode.c_str());
+              Req.Cache.c_str());
   for (const synth::RoundStats &S : R.RoundLog)
     std::printf("round %u: %llu violating / %llu executions, %u "
                 "enforcement(s) in program\n",
@@ -811,14 +805,6 @@ int cmdServe(const Options &Opt) {
     return 2;
   }
   SC.CacheCapacity = static_cast<size_t>(CacheCapacity);
-  std::string Dispatch = Opt.get("dispatch", "specialized");
-  if (Dispatch == "generic")
-    SC.Dispatch = vm::DispatchMode::Generic;
-  else if (Dispatch != "specialized") {
-    std::fprintf(stderr,
-                 "error: --dispatch must be 'specialized' or 'generic'\n");
-    return 2;
-  }
   SC.CrashDir = Opt.get("crash-dir");
   SC.SlowMs = static_cast<uint32_t>(Opt.getInt("slow-ms", 0));
 
@@ -940,13 +926,6 @@ int cmdFuzz(const Options &Opt) {
     return 2;
   }
   CC.CacheOn = CacheMode == "on";
-  std::string Dispatch = Opt.get("dispatch", "specialized");
-  if (Dispatch != "specialized" && Dispatch != "generic") {
-    std::fprintf(stderr,
-                 "error: --dispatch must be 'specialized' or 'generic'\n");
-    return 2;
-  }
-  CC.Dispatch = Dispatch;
   if (Opt.has("via-serve")) {
     long Slots = Opt.getInt("via-serve", 0);
     if (Slots < 1) {
