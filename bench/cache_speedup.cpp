@@ -5,29 +5,27 @@
 // twice. The cold pass populates the cache; the warm pass — the
 // "re-verify the same program with the same knobs" loop that CI and the
 // suite-sweep verification step run constantly — serves its entire round
-// loop from the cache, skipping interpretation and checking both.
+// loop from the cache, skipping interpretation and checking both. Each
+// pass is timed in process CPU time.
 //
-// Emits BENCH_cache.json (schema "dfence-cache-speedup-v2"). Pass a
-// number to scale executions per round (default 2000); pass "--smoke"
-// for a tiny run that validates the pipeline — the binary re-reads the
-// JSON it wrote, checks its structure plus the deterministic invariants
-// (full exec-cache hit rate on the warm pass), and exits nonzero on
-// failure, which the bench_cache_smoke ctest entry asserts. The ≥1.3x
-// round-loop-speedup acceptance bar is enforced on full runs only;
-// smoke runs are too short to time reliably.
+// Emits BENCH_cache.json (schema "dfence-cache-speedup-v2", version 3:
+// the seconds fields are CPU seconds). Pass a number to scale executions
+// per round (default 2000); pass "--smoke" for a tiny run that validates
+// the pipeline — the binary re-reads the JSON it wrote, checks its
+// structure plus the deterministic invariants (full exec-cache hit rate
+// on the warm pass), and exits nonzero on failure, which the
+// bench_cache_smoke ctest entry asserts. The ≥1.3x round-loop-speedup
+// acceptance bar is enforced on full runs only; smoke runs are too short
+// to time reliably.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "cache/ExecCache.h"
-#include "support/Json.h"
 #include "support/Rng.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace dfence;
@@ -48,11 +46,6 @@ synth::SynthConfig verifyConfig(const programs::Benchmark &B, unsigned K) {
   return Cfg;
 }
 
-double seconds(std::chrono::steady_clock::time_point T0,
-               std::chrono::steady_clock::time_point T1) {
-  return std::chrono::duration<double>(T1 - T0).count();
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -69,9 +62,11 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  const char *Schema = "dfence-cache-speedup-v2";
+  const uint64_t Version = 3;
   Json Doc = Json::object();
-  Doc.set("schema", Json::string("dfence-cache-speedup-v2"));
-  Doc.set("schema_version", Json::number(uint64_t(2)));
+  Doc.set("schema", Json::string(Schema));
+  Doc.set("schema_version", Json::number(Version));
   Doc.set("execs_per_round", Json::number(uint64_t(ExecsPer)));
 
   // Synthesize fences once, then verify the fenced module twice through
@@ -91,21 +86,19 @@ int main(int Argc, char **Argv) {
   synth::SynthConfig Cfg = verifyConfig(B, ExecsPer);
   cache::ExecCache Shared;
   Cfg.ExecResultCache = &Shared;
-  auto T0 = std::chrono::steady_clock::now();
+  double C0 = bench::cpuSeconds();
   synth::SynthResult Cold =
       synth::synthesize(Fenced.FencedModule, B.Clients, Cfg);
-  auto T1 = std::chrono::steady_clock::now();
+  double C1 = bench::cpuSeconds();
   synth::SynthResult Warm =
       synth::synthesize(Fenced.FencedModule, B.Clients, Cfg);
-  auto T2 = std::chrono::steady_clock::now();
-
-  double SecCold = seconds(T0, T1), SecWarm = seconds(T1, T2);
+  double SecCold = C1 - C0, SecWarm = bench::cpuSeconds() - C1;
   double Speedup = SecWarm > 0 ? SecCold / SecWarm : 0;
   std::printf("Shared-cache re-verification (%s, %llu executions)\n",
               B.Name.c_str(),
               static_cast<unsigned long long>(Warm.TotalExecutions));
-  std::printf("cold %.3fs -> warm %.3fs  round-loop speedup %.1fx "
-              "(exec hits %llu/%llu)\n",
+  std::printf("cold %.3f CPU s -> warm %.3f CPU s  round-loop speedup "
+              "%.1fx (exec hits %llu/%llu)\n",
               SecCold, SecWarm, Speedup,
               static_cast<unsigned long long>(Warm.ExecCacheHits),
               static_cast<unsigned long long>(Warm.TotalExecutions));
@@ -119,27 +112,14 @@ int main(int Argc, char **Argv) {
   JRe.set("round_loop_speedup", Json::number(Speedup));
   Doc.set("reverification", std::move(JRe));
 
-  {
-    std::ofstream Out("BENCH_cache.json");
-    Out << Doc.dump(2) << "\n";
-  }
-  std::printf("\nwrote BENCH_cache.json%s\n", Smoke ? " (smoke)" : "");
-
-  // Self-check: re-read the emitted document and validate its shape and
-  // the deterministic invariants; the ≥1.3x bar applies to full runs.
-  std::ifstream In("BENCH_cache.json");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  std::string Error;
-  auto Parsed = Json::parse(SS.str(), Error);
-  if (!Parsed) {
-    std::fprintf(stderr, "BENCH_cache.json is unparsable: %s\n",
-                 Error.c_str());
+  // Self-check: the shape and the deterministic invariants; the ≥1.3x
+  // bar applies to full runs.
+  auto Parsed = bench::writeAndReread("BENCH_cache.json", Doc, Schema,
+                                      Version, Smoke);
+  if (!Parsed)
     return 1;
-  }
-  const Json *Schema = Parsed->find("schema");
   const Json *Re = Parsed->find("reverification");
-  if (!Schema || Schema->asString() != "dfence-cache-speedup-v2" || !Re) {
+  if (!Re) {
     std::fprintf(stderr, "BENCH_cache.json is malformed\n");
     return 1;
   }

@@ -3,36 +3,31 @@
 // Measures the per-execution cost of the execution core in isolation: no
 // SAT, no enforcement, no checking — just the interpreter running the
 // synthesis hot-path configuration (CollectRepairs on, per-model flush
-// probability) over the parallel_scale workload subjects, one
-// (subject, model) cell at a time.
+// probability) over four Table-2 subjects, one (subject, model) cell at
+// a time.
 //
 // A single pass over a cell runs in a few tens of milliseconds, too short
-// to time once. So each cell repeats its pass until it has run for at
-// least MinCellSeconds (0.5 s, and at least MinReps passes), and a cell's
-// time is its median pass time. Every pass of a cell runs the same seeds,
-// so the step count of a pass is fixed; any pass that disagrees is a
-// determinism bug and fails the run (exit 1).
+// to time once. So each cell repeats its pass until it has used at least
+// MinCellSeconds (0.5 s, and at least MinReps passes) of process CPU
+// time, and a cell's time is its median pass CPU time. Every pass of a
+// cell runs the same seeds, so the step count of a pass is fixed; any
+// pass that disagrees is a determinism bug and fails the run (exit 1).
 //
-// Emits BENCH_exec.json (schema "dfence-exec-throughput-v1", version 4:
-// seconds fields are sums of per-cell median pass times). Pass a number
-// to scale the per-(subject, model) execution count per pass (default
-// 300); pass "--smoke" for a small run (three passes per cell, no time
-// floor) that validates the pipeline and the step check — what the
-// bench_exec_smoke ctest entry asserts.
+// Emits BENCH_exec.json (schema "dfence-exec-throughput-v1", version 5:
+// seconds fields are sums of per-cell median pass CPU times). Pass a
+// number to scale the per-(subject, model) execution count per pass
+// (default 300); pass "--smoke" for a small run (three passes per cell,
+// no time floor) that validates the pipeline and the step check — what
+// the bench_exec_smoke ctest entry asserts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
-#include "support/Json.h"
 #include "vm/ExecContext.h"
 #include "vm/Prepared.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,8 +40,8 @@ struct Subject {
   const char *Bench;
 };
 
-// The parallel_scale workload subjects (minus the spec dimension, which
-// the raw core never sees).
+// Two work-stealing queues, a CAS queue and an idempotent queue: the
+// spread of step shapes the round engine sees on Table 2.
 const Subject Subjects[] = {
     {"Chase-Lev WSQ"},
     {"Cilk THE WSQ"},
@@ -58,22 +53,16 @@ struct ModelRate {
   uint64_t Execs = 0;
   uint64_t Steps = 0;
   uint64_t Passes = 0; ///< Timed passes, all cells.
-  double Seconds = 0;  ///< Sum of the cells' median pass times.
+  double Seconds = 0;  ///< Sum of the cells' median pass CPU times.
 };
 
-double median(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  size_t N = V.size();
-  return N % 2 ? V[N / 2] : (V[N / 2 - 1] + V[N / 2]) / 2;
-}
-
-/// Runs one pass of the cell's executions, returning wall seconds and
+/// Runs one pass of the cell's executions, returning CPU seconds and
 /// accumulating interpreter steps into \p Steps. Every pass runs the
 /// same seeds and configs.
 double timeCell(vm::ExecContext &Ctx, const vm::PreparedProgram &Prog,
                 MemModel Model, unsigned ExecsPer, uint64_t &Steps) {
   vm::ExecResult R;
-  auto T0 = std::chrono::steady_clock::now();
+  double C0 = bench::cpuSeconds();
   for (unsigned I = 0; I != ExecsPer; ++I) {
     vm::ExecConfig EC;
     EC.Model = Model;
@@ -84,8 +73,7 @@ double timeCell(vm::ExecContext &Ctx, const vm::PreparedProgram &Prog,
     Ctx.run(Prog, I % Prog.numClients(), EC, R);
     Steps += R.Steps;
   }
-  auto T1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(T1 - T0).count();
+  return bench::cpuSeconds() - C0;
 }
 
 } // namespace
@@ -111,7 +99,8 @@ int main(int Argc, char **Argv) {
   ModelRate Rates[3];
 
   std::printf("Execution core throughput (%u execs per pass, passes "
-              "repeated to >= %.1f s per subject/model, median pass)\n\n",
+              "repeated to >= %.1f CPU s per subject/model, median "
+              "pass)\n\n",
               ExecsPer, MinCellSeconds);
   std::printf("%-16s %5s %10s %12s %14s %7s\n", "subject", "model",
               "seconds", "execs/s", "steps/s", "passes");
@@ -152,7 +141,7 @@ int main(int Argc, char **Argv) {
           return 1;
         }
       }
-      double Secs = median(Times);
+      double Secs = bench::median(Times);
       std::printf("%-16s %5s %10.3f %12.0f %14.0f %7zu\n", S.Bench,
                   vm::memModelName(Model), Secs,
                   Secs > 0 ? ExecsPer / Secs : 0,
@@ -165,13 +154,15 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  const char *Schema = "dfence-exec-throughput-v1";
+  const uint64_t Version = 5;
   Json Doc = Json::object();
-  Doc.set("schema", Json::string("dfence-exec-throughput-v1"));
-  Doc.set("schema_version", Json::number(uint64_t(4)));
+  Doc.set("schema", Json::string(Schema));
+  Doc.set("schema_version", Json::number(Version));
   Doc.set("execs_per_subject", Json::number(uint64_t(ExecsPer)));
   Doc.set("min_cell_seconds", Json::number(MinCellSeconds));
   Json JModels = Json::array();
-  std::printf("\naggregate over %zu subjects (sums of median pass "
+  std::printf("\naggregate over %zu subjects (sums of median pass CPU "
               "times):\n",
               sizeof(Subjects) / sizeof(Subjects[0]));
   std::printf("%5s %10s %12s %14s\n", "model", "seconds", "execs/s",
@@ -197,31 +188,12 @@ int main(int Argc, char **Argv) {
   }
   Doc.set("models", std::move(JModels));
 
-  {
-    std::ofstream Out("BENCH_exec.json");
-    Out << Doc.dump(2) << "\n";
-  }
-  std::printf("\nwrote BENCH_exec.json%s\n", Smoke ? " (smoke)" : "");
-
-  // Self-check: re-read the emitted document and validate its shape, so
-  // the smoke ctest entry catches a malformed emitter without a parser
-  // of its own.
-  std::ifstream In("BENCH_exec.json");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  std::string Error;
-  auto Parsed = Json::parse(SS.str(), Error);
-  if (!Parsed) {
-    std::fprintf(stderr, "BENCH_exec.json is unparsable: %s\n",
-                 Error.c_str());
+  auto Parsed =
+      bench::writeAndReread("BENCH_exec.json", Doc, Schema, Version, Smoke);
+  if (!Parsed)
     return 1;
-  }
-  const Json *Schema = Parsed->find("schema");
-  const Json *Version = Parsed->find("schema_version");
   const Json *ModelsJ = Parsed->find("models");
-  if (!Schema || Schema->asString() != "dfence-exec-throughput-v1" ||
-      !Version || Version->asU64() != 4 || !ModelsJ ||
-      !ModelsJ->isArray() || ModelsJ->items().size() != 3) {
+  if (!ModelsJ || !ModelsJ->isArray() || ModelsJ->items().size() != 3) {
     std::fprintf(stderr, "BENCH_exec.json is malformed\n");
     return 1;
   }

@@ -13,14 +13,19 @@
 // Every (subject, model) cell runs the identical deterministic synthesis
 // under each posture at --jobs 1; execution counts must agree exactly
 // (the recorder is read-only — FlightRecorderDifferentialTest pins the
-// stronger byte-level claim). Emits BENCH_obs.json and enforces, in full
-// mode only (timing bars are meaningless at smoke sizes):
+// stronger byte-level claim). A posture's cost is its process CPU time.
+// Emits BENCH_obs.json (schema "dfence-obs-overhead-v1", version 2: the
+// seconds fields are CPU seconds, off/on being the base median scaled by
+// the median paired ratio) and enforces, in full mode only (timing bars
+// are meaningless at smoke sizes):
 //
 //   * off-posture overhead <= 2% vs base — the price of leaving metrics
 //     on in production must stay negligible;
 //   * the sum property: at jobs 1 the obs_phase_*_us histogram sums add
 //     up to the recorded round wall time (RoundOther absorbs the
 //     remainder by construction; tolerance covers clock granularity).
+//     Both sides are the recorder's own steady_clock readings; CPU time
+//     plays no part in it.
 //
 // Pass a number to scale executions per round (default 400); pass
 // "--smoke" for a small run that validates the pipeline and the emitted
@@ -33,13 +38,10 @@
 #include "obs/Convergence.h"
 #include "obs/Obs.h"
 #include "obs/Profiler.h"
-#include "support/Json.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -57,8 +59,8 @@ struct Subject {
   MemModel Model;
 };
 
-// One TSO and one PSO cell: enough wall time for the 2% bar to sit above
-// scheduler noise without turning the bench into a second table run.
+// One TSO and one PSO cell: enough CPU time for the 2% bar to sit above
+// noise without turning the bench into a second table run.
 const Subject Subjects[] = {
     {"Chase-Lev WSQ", MemModel::TSO},
     {"MSN Queue", MemModel::PSO},
@@ -79,18 +81,29 @@ std::vector<std::string> opcodeNames() {
 }
 
 struct ModeRun {
-  double Seconds = 0;
+  double Seconds = 0;       ///< Process CPU time of synthesize().
   uint64_t Execs = 0;
-  double PhaseSumUs = 0;   ///< Sum over all obs_phase_*_us histograms.
+  double PhaseSumUs = 0;    ///< Sum over all obs_phase_*_us histograms.
   uint64_t RoundWallUs = 0; ///< Sum of RoundStats::RoundWallUs.
   size_t Rounds = 0;
 };
 
+double phaseSumUs(obs::Registry &Reg) {
+  double Sum = 0;
+  for (unsigned I = 0; I != obs::NumPhases; ++I)
+    Sum += Reg.histogram(std::string("obs_phase_") +
+                         obs::phaseName(static_cast<obs::Phase>(I)) + "_us")
+               .sum();
+  return Sum;
+}
+
 /// One synthesis run of \p B under \p Posture. The timed region covers
-/// exactly synthesize(); registry/profiler construction happens outside
-/// it (a server builds those once, not per request).
+/// exactly synthesize(). \p Reg outlives the posture's runs, and the
+/// profiler is built outside the timed region: a server builds those
+/// once, not per request, so creating the metrics is not the posture's
+/// cost (only its first run pays for it).
 ModeRun runPosture(const programs::Benchmark &B, MemModel Model,
-                   unsigned K, Posture P) {
+                   unsigned K, Posture P, obs::Registry &Reg) {
   auto CR = frontend::compileMiniC(B.Source);
   if (!CR.Ok)
     reportFatalError(std::string(B.Name) + ": " + CR.Error);
@@ -98,7 +111,6 @@ ModeRun runPosture(const programs::Benchmark &B, MemModel Model,
       bench::makeConfig(Model, strictestSpec(B), B.Factory, K);
   Cfg.Jobs = 1;
 
-  obs::Registry Reg;
   obs::ObsContext Obs;
   std::optional<obs::Profiler> Prof;
   std::ostringstream RoundLogOS;
@@ -115,20 +127,16 @@ ModeRun runPosture(const programs::Benchmark &B, MemModel Model,
   }
 
   ModeRun M;
-  auto T0 = std::chrono::steady_clock::now();
+  double PhaseUs0 = P == Posture::On ? phaseSumUs(Reg) : 0;
+  double C0 = bench::cpuSeconds();
   synth::SynthResult R = synth::synthesize(CR.Module, B.Clients, Cfg);
-  auto T1 = std::chrono::steady_clock::now();
-  M.Seconds = std::chrono::duration<double>(T1 - T0).count();
+  M.Seconds = bench::cpuSeconds() - C0;
   M.Execs = R.TotalExecutions;
   for (const synth::RoundStats &RS : R.RoundLog)
     M.RoundWallUs += RS.RoundWallUs;
   M.Rounds = R.RoundLog.size();
   if (P == Posture::On)
-    for (unsigned I = 0; I != obs::NumPhases; ++I)
-      M.PhaseSumUs +=
-          Reg.histogram(std::string("obs_phase_") +
-                        obs::phaseName(static_cast<obs::Phase>(I)) + "_us")
-              .sum();
+    M.PhaseSumUs = phaseSumUs(Reg) - PhaseUs0;
   return M;
 }
 
@@ -151,15 +159,23 @@ int main(int Argc, char **Argv) {
         ExecsPer = 1;
     }
   }
-  // Full runs take the best of two passes per posture: the deterministic
-  // work is identical, so the minimum wall time is the least-noisy
-  // estimate and keeps the 2% bar from tripping on scheduler jitter.
-  const unsigned Passes = Smoke ? 1 : 2;
+  // One run at the default size takes ~20 ms, too short to hold a 2% bar
+  // alone. So the three postures repeat their runs (the same
+  // deterministic work every time) back to back, until the base posture
+  // has used MinCellSeconds of CPU time over at least MinReps rounds. A
+  // posture's cost relative to base is the median over rounds of its
+  // run's ratio to the base run of the same round: runs seconds apart
+  // share the host's state, so the ratio cancels the drift that moves
+  // whole rounds (medians of each posture's own times did not repeat
+  // within the 2% bar on a shared host; the paired ratio did).
+  const double MinCellSeconds = Smoke ? 0 : 1.0;
+  const size_t MinReps = Smoke ? 1 : 3;
 
-  std::printf("Flight-recorder overhead (%u execs per round, jobs 1)\n\n",
-              ExecsPer);
-  std::printf("%-16s %5s %8s %10s %10s %9s %9s\n", "subject", "model",
-              "execs", "base e/s", "off e/s", "off ovh", "on ovh");
+  std::printf("Flight-recorder overhead (%u execs per round, jobs 1, "
+              "median paired ratio, runs repeated to >= %.1f CPU s)\n\n",
+              ExecsPer, MinCellSeconds);
+  std::printf("%-16s %5s %8s %5s %10s %10s %9s %9s\n", "subject", "model",
+              "execs", "runs", "base e/s", "off e/s", "off ovh", "on ovh");
 
   Json JSubjects = Json::array();
   double BaseSecs = 0, OffSecs = 0, OnSecs = 0;
@@ -169,44 +185,64 @@ int main(int Argc, char **Argv) {
   for (const Subject &S : Subjects) {
     const programs::Benchmark &B = programs::benchmarkByName(S.Bench);
     ModeRun Base, Off, On;
-    for (unsigned Pass = 0; Pass != Passes; ++Pass) {
-      ModeRun Pb = runPosture(B, S.Model, ExecsPer, Posture::Base);
-      ModeRun Po = runPosture(B, S.Model, ExecsPer, Posture::Off);
-      ModeRun Pn = runPosture(B, S.Model, ExecsPer, Posture::On);
-      if (Pass == 0 || Pb.Seconds < Base.Seconds)
-        Base = Pb;
-      if (Pass == 0 || Po.Seconds < Off.Seconds)
-        Off = Po;
-      if (Pass == 0 || Pn.Seconds < On.Seconds)
-        On = Pn;
+    // One registry per posture for all of its runs, as a server keeps
+    // one; the base posture never attaches its own.
+    obs::Registry BaseReg, OffReg, OnReg;
+    std::vector<double> BaseT, OffT, OnT;
+    double BaseTotal = 0;
+    while (!ExecsDiverged &&
+           (BaseT.size() < MinReps || BaseTotal < MinCellSeconds)) {
+      // Every other round runs the postures in reverse, so drift within a
+      // round favours neither side of a ratio.
+      if (BaseT.size() % 2 == 0) {
+        Base = runPosture(B, S.Model, ExecsPer, Posture::Base, BaseReg);
+        Off = runPosture(B, S.Model, ExecsPer, Posture::Off, OffReg);
+        On = runPosture(B, S.Model, ExecsPer, Posture::On, OnReg);
+      } else {
+        On = runPosture(B, S.Model, ExecsPer, Posture::On, OnReg);
+        Off = runPosture(B, S.Model, ExecsPer, Posture::Off, OffReg);
+        Base = runPosture(B, S.Model, ExecsPer, Posture::Base, BaseReg);
+      }
+      BaseT.push_back(Base.Seconds);
+      OffT.push_back(Off.Seconds);
+      OnT.push_back(On.Seconds);
+      BaseTotal += Base.Seconds;
+      // Read-only invariant, deterministic, so it gates every run: all
+      // three postures ran the identical execution schedule.
+      if (Base.Execs != Off.Execs || Base.Execs != On.Execs) {
+        std::fprintf(stderr,
+                     "posture divergence on %s/%s: base ran %llu execs, "
+                     "off %llu, on %llu\n",
+                     S.Bench, vm::memModelName(S.Model),
+                     static_cast<unsigned long long>(Base.Execs),
+                     static_cast<unsigned long long>(Off.Execs),
+                     static_cast<unsigned long long>(On.Execs));
+        ExecsDiverged = true;
+      }
     }
-
-    // Read-only invariant, cheap enough to assert even in smoke: all
-    // three postures ran the identical execution schedule.
-    if (Base.Execs != Off.Execs || Base.Execs != On.Execs) {
-      std::fprintf(stderr,
-                   "posture divergence on %s/%s: base ran %llu execs, "
-                   "off %llu, on %llu\n",
-                   S.Bench, vm::memModelName(S.Model),
-                   static_cast<unsigned long long>(Base.Execs),
-                   static_cast<unsigned long long>(Off.Execs),
-                   static_cast<unsigned long long>(On.Execs));
-      ExecsDiverged = true;
+    std::vector<double> OffRatio, OnRatio;
+    for (size_t I = 0; I != BaseT.size(); ++I) {
+      OffRatio.push_back(OffT[I] / BaseT[I]);
+      OnRatio.push_back(OnT[I] / BaseT[I]);
     }
+    Base.Seconds = bench::median(BaseT);
+    Off.Seconds = Base.Seconds * bench::median(OffRatio);
+    On.Seconds = Base.Seconds * bench::median(OnRatio);
 
     double OffOvh = overheadPct(Off.Seconds, Base.Seconds);
     double OnOvh = overheadPct(On.Seconds, Base.Seconds);
-    std::printf("%-16s %5s %8llu %10.0f %10.0f %8.2f%% %8.2f%%\n",
+    std::printf("%-16s %5s %8llu %5zu %10.0f %10.0f %8.2f%% %8.2f%%\n",
                 S.Bench, vm::memModelName(S.Model),
-                static_cast<unsigned long long>(Base.Execs),
+                static_cast<unsigned long long>(Base.Execs), BaseT.size(),
                 Base.Seconds > 0 ? Base.Execs / Base.Seconds : 0,
                 Off.Seconds > 0 ? Off.Execs / Off.Seconds : 0, OffOvh,
                 OnOvh);
 
-    // Sum property at jobs 1: the phase histograms partition the round
-    // wall time. Tolerance: 1% plus 100us per recorded round covers
-    // microsecond truncation of RoundWallUs and the clamp-at-zero
-    // remainders; a real attribution hole is orders beyond it.
+    // Sum property at jobs 1, on the last recorder-on run: the phase
+    // histograms partition the round wall time. Tolerance: 1% plus 100us
+    // per recorded round covers microsecond truncation of RoundWallUs and
+    // the clamp-at-zero remainders; a real attribution hole is orders
+    // beyond it.
     double WallUs = static_cast<double>(On.RoundWallUs);
     double Tol = WallUs * 0.01 + 100.0 * (On.Rounds ? On.Rounds : 1);
     bool SumOk = std::fabs(On.PhaseSumUs - WallUs) <= Tol;
@@ -223,6 +259,7 @@ int main(int Argc, char **Argv) {
     JS.set("subject", Json::string(S.Bench));
     JS.set("model", Json::string(vm::memModelName(S.Model)));
     JS.set("executions", Json::number(Base.Execs));
+    JS.set("runs", Json::number(static_cast<uint64_t>(BaseT.size())));
     JS.set("base_seconds", Json::number(Base.Seconds));
     JS.set("off_seconds", Json::number(Off.Seconds));
     JS.set("on_seconds", Json::number(On.Seconds));
@@ -251,9 +288,11 @@ int main(int Argc, char **Argv) {
               "on overhead %.2f%%\n",
               static_cast<unsigned long long>(TotalExecs), AggOff, AggOn);
 
+  const char *Schema = "dfence-obs-overhead-v1";
+  const uint64_t Version = 2;
   Json Doc = Json::object();
-  Doc.set("schema", Json::string("dfence-obs-overhead-v1"));
-  Doc.set("schema_version", Json::number(uint64_t(1)));
+  Doc.set("schema", Json::string(Schema));
+  Doc.set("schema_version", Json::number(Version));
   Doc.set("smoke", Json::boolean(Smoke));
   Doc.set("execs_per_round", Json::number(uint64_t(ExecsPer)));
   Doc.set("subjects", std::move(JSubjects));
@@ -263,11 +302,10 @@ int main(int Argc, char **Argv) {
   Agg.set("on_overhead_pct", Json::number(AggOn));
   Doc.set("aggregate", std::move(Agg));
 
-  {
-    std::ofstream Out("BENCH_obs.json");
-    Out << Doc.dump(2) << "\n";
-  }
-  std::printf("wrote BENCH_obs.json%s\n", Smoke ? " (smoke)" : "");
+  auto Parsed =
+      bench::writeAndReread("BENCH_obs.json", Doc, Schema, Version, Smoke);
+  if (!Parsed)
+    return 1;
 
   if (ExecsDiverged)
     return 1;
@@ -286,24 +324,11 @@ int main(int Argc, char **Argv) {
       return 1;
   }
 
-  // Self-check: re-read the emitted document and validate its shape, so
-  // the smoke ctest entry catches a malformed emitter without a parser
-  // of its own.
-  std::ifstream In("BENCH_obs.json");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  std::string Error;
-  auto Parsed = Json::parse(SS.str(), Error);
-  if (!Parsed) {
-    std::fprintf(stderr, "BENCH_obs.json is unparsable: %s\n",
-                 Error.c_str());
-    return 1;
-  }
-  const Json *Schema = Parsed->find("schema");
+  // Self-check: the emitted document's shape, so the smoke ctest entry
+  // catches a malformed emitter.
   const Json *SubjectsJ = Parsed->find("subjects");
   const Json *AggJ = Parsed->find("aggregate");
-  if (!Schema || Schema->asString() != "dfence-obs-overhead-v1" ||
-      !SubjectsJ || !SubjectsJ->isArray() ||
+  if (!SubjectsJ || !SubjectsJ->isArray() ||
       SubjectsJ->items().size() !=
           sizeof(Subjects) / sizeof(Subjects[0]) ||
       !AggJ || !AggJ->find("off_overhead_pct")) {

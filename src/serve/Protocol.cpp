@@ -24,6 +24,12 @@ std::optional<vm::MemModel> serve::modelByName(const std::string &S) {
   return std::nullopt;
 }
 
+/// The specs checked against a sequential specification.
+static bool needsSeqSpec(synth::SpecKind S) {
+  return S == synth::SpecKind::SequentialConsistency ||
+         S == synth::SpecKind::Linearizability;
+}
+
 static std::optional<synth::SpecKind> specByFlag(const std::string &S) {
   if (S == "safety")
     return synth::SpecKind::MemorySafety;
@@ -230,8 +236,7 @@ std::optional<SynthJob> serve::prepareJob(const ServeRequest &R,
       return std::nullopt;
     }
     spec::SpecFactory Factory;
-    if (*Spec == synth::SpecKind::SequentialConsistency ||
-        *Spec == synth::SpecKind::Linearizability) {
+    if (needsSeqSpec(*Spec)) {
       Factory = driver::specByName(R.SeqSpec);
       if (!Factory) {
         Error = "spec sc/lin needs seqSpec (one of " +
@@ -269,6 +274,13 @@ std::optional<SynthJob> serve::prepareJob(const ServeRequest &R,
                      : R.Spec);
   if (!Spec) {
     Error = "unknown spec '" + R.Spec + "'";
+    return std::nullopt;
+  }
+  // The idempotent queues (iWSQ) have no sequential spec; reject here,
+  // before a served request takes a dispatcher slot and a pool lease.
+  if (needsSeqSpec(*Spec) && !Found->Factory) {
+    Error = "spec sc/lin needs a sequential spec, and benchmark '" +
+            Found->Name + "' has none (use safety or nogarbage)";
     return std::nullopt;
   }
   if (!fillConfig(R, *Model, *Spec, Found->Factory, Job.Cfg, Error))

@@ -489,6 +489,12 @@ SynthResult synth::synthesize(const ir::Module &M,
     // implicated functions, repair formula — comes out of this loop in
     // the same order the sequential engine produced it.
     std::vector<std::vector<OrderingPredicate>> ViolationRepairs;
+    // The shared counters get one add per round, not one per execution:
+    // per-execution atomic adds on a dozen counters were about a third
+    // of what attaching a metrics registry cost a run (bench/obs_overhead
+    // holds that cost to 2%).
+    vm::ExecStats VmSum;
+    uint64_t StepsSum = 0, DiscardedSum = 0;
     auto FoldT0 = std::chrono::steady_clock::now();
     OBS_SPAN(FoldSpan, Trace, "fold", "synth", 0);
     for (size_t I = 0; I != RR.Ran; ++I) {
@@ -499,28 +505,24 @@ SynthResult synth::synthesize(const ir::Module &M,
       Sup.fold(Cur, Client, P.EC, SE);
       ++Result.TotalExecutions;
       ++Stats.Executions;
-      OBS_COUNT(ExecsC, 1);
-      OBS_COUNT(VmStepsC, R.Steps);
-      OBS_COUNT(VmFlushesC, R.Stats.Flushes);
-      OBS_COUNT(VmSchedStepsC, R.Stats.SchedSteps);
-      OBS_COUNT(VmSchedFlushesC, R.Stats.SchedFlushes);
-      OBS_COUNT(VmFwdC, R.Stats.StoreForwards);
-      OBS_COUNT(VmBufStoresC, R.Stats.BufferedStores);
-      if (BufHighG)
-        BufHighG->max(R.Stats.BufHighWater);
+      StepsSum += R.Steps;
+      VmSum.Flushes += R.Stats.Flushes;
+      VmSum.SchedSteps += R.Stats.SchedSteps;
+      VmSum.SchedFlushes += R.Stats.SchedFlushes;
+      VmSum.StoreForwards += R.Stats.StoreForwards;
+      VmSum.BufferedStores += R.Stats.BufferedStores;
+      VmSum.BufHighWater = std::max(VmSum.BufHighWater, R.Stats.BufHighWater);
       if (RR.Slots[I].FromExecCache) {
         ++Result.ExecCacheHits;
         ++Stats.ExecCacheHits;
-        OBS_COUNT(CacheExecHitsC, 1);
       } else if (P.Cacheable) {
         ++Result.ExecCacheMisses;
         ++Stats.ExecCacheMisses;
-        OBS_COUNT(CacheExecMissesC, 1);
       }
 
       if (SE.Discarded) {
         ++Result.DiscardedExecutions;
-        OBS_COUNT(DiscardedC, 1);
+        ++DiscardedSum;
         continue;
       }
       const std::string &Violation = RR.Slots[I].Violation;
@@ -528,7 +530,6 @@ SynthResult synth::synthesize(const ir::Module &M,
         continue;
       ++Result.ViolatingExecutions;
       ++Stats.Violations;
-      OBS_COUNT(ViolationsC, 1);
       if (Trace && Stats.Violations == 1) {
         Json A = Json::object();
         A.set("round", Json::number(static_cast<uint64_t>(Round)));
@@ -559,6 +560,19 @@ SynthResult synth::synthesize(const ir::Module &M,
       }
       ViolationRepairs.push_back(std::move(R.Repairs));
     }
+    OBS_COUNT(ExecsC, Stats.Executions);
+    OBS_COUNT(VmStepsC, StepsSum);
+    OBS_COUNT(VmFlushesC, VmSum.Flushes);
+    OBS_COUNT(VmSchedStepsC, VmSum.SchedSteps);
+    OBS_COUNT(VmSchedFlushesC, VmSum.SchedFlushes);
+    OBS_COUNT(VmFwdC, VmSum.StoreForwards);
+    OBS_COUNT(VmBufStoresC, VmSum.BufferedStores);
+    if (BufHighG)
+      BufHighG->max(VmSum.BufHighWater);
+    OBS_COUNT(CacheExecHitsC, Stats.ExecCacheHits);
+    OBS_COUNT(CacheExecMissesC, Stats.ExecCacheMisses);
+    OBS_COUNT(DiscardedC, DiscardedSum);
+    OBS_COUNT(ViolationsC, Stats.Violations);
     FoldSpan.arg("ran", static_cast<uint64_t>(RR.Ran));
     FoldSpan.end();
     Stats.Truncated = Truncated;

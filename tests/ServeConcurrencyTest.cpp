@@ -13,6 +13,9 @@
 //   * drain joins all slots: work spread across every slot completes
 //     and is answered before drain() returns, and post-drain submits
 //     are rejected;
+//   * overtaking: at two slots, cheap requests submitted behind a
+//     wall-budget-bound expensive one take the free slot and all
+//     complete before it;
 //   * byte-identity under concurrency: distinct requests interleaved
 //     across 4 slots return canonical results byte-identical to
 //     sequential one-shot runs of the same requests — cold cache and
@@ -194,6 +197,44 @@ TEST(ServeConcurrency, DrainJoinsAllSlotsAndAnswersEverything) {
   EXPECT_EQ(Late.find("status")->asString(), "rejected");
   EXPECT_EQ(Late.find("reason")->asString(), "draining");
   S.drain(); // Idempotent.
+}
+
+TEST(ServeConcurrency, CheapRequestsOvertakeAnExpensiveOneAtTwoSlots) {
+  ServeConfig C;
+  C.Jobs = 2;
+  C.Slots = 2; // Width-1 slices.
+  Server S(C);
+  Collector Col;
+  // Far more planned work than its wall budget: every execution of the
+  // spin client is clean and costs ~1 ms, so a round of 20000 never
+  // finishes. The expensive request holds one slot for its whole budget,
+  // then answers timeout; the budget leaves room for the cheap requests
+  // on sanitizer builds.
+  const char *SpinSource = "global int X = 0;\n"
+                           "int spin() {\n"
+                           "  int i = 0;\n"
+                           "  while (i < 2000) { i = i + 1; }\n"
+                           "  X = i;\n"
+                           "  return 0;\n"
+                           "}\n";
+  S.submit("{\"op\":\"synth\",\"id\":\"exp\",\"source\":" +
+               Json::string(SpinSource).dump() +
+               ",\"client\":\"spin()|spin()\",\"spec\":\"safety\","
+               "\"k\":20000,\"rounds\":64,\"totalMs\":3000,"
+               "\"cache\":\"off\"}",
+           Col.fn());
+  const size_t Cheap = 3;
+  for (size_t I = 0; I != Cheap; ++I)
+    S.submit(pubRequest("c" + std::to_string(I), ",\"k\":25"), Col.fn());
+  ASSERT_TRUE(Col.waitFor(Cheap + 1, 120000));
+  S.drain();
+  // With one slot every cheap request would queue behind the expensive
+  // one; with two they run on the free slot and all finish first.
+  std::vector<std::string> Order = Col.completionOrder();
+  ASSERT_EQ(Order.size(), Cheap + 1);
+  EXPECT_EQ(Order.back(), "exp");
+  EXPECT_EQ(Col.byId("exp").find("status")->asString(), "timeout");
+  EXPECT_EQ(Col.withStatus("ok").size(), Cheap);
 }
 
 TEST(ServeConcurrency, InterleavedResultsByteIdenticalToSequential) {

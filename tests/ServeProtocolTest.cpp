@@ -199,6 +199,19 @@ TEST(ServeProtocol, PrepareJobErrorsAreStructuredNotFatal) {
   EXPECT_FALSE(prepareJob(*R, Error));
   EXPECT_NE(Error.find("seqSpec"), std::string::npos);
 
+  // The idempotent queues have no sequential spec: sc/lin on them is a
+  // config error that names the benchmark, not a synthesize() failure.
+  for (const char *Bench : {"Anchor iWSQ", "FIFO iWSQ", "LIFO iWSQ"})
+    for (const char *Spec : {"sc", "lin"}) {
+      R = parseRequest(parseOrDie(std::string("{\"op\":\"bench\","
+                                              "\"bench\":\"") +
+                                  Bench + "\",\"spec\":\"" + Spec + "\"}"),
+                       Error);
+      ASSERT_TRUE(R) << Error;
+      EXPECT_FALSE(prepareJob(*R, Error)) << Bench << " / " << Spec;
+      EXPECT_NE(Error.find(Bench), std::string::npos) << Error;
+    }
+
   // SC is not a synthesis model (nothing to reorder).
   R = parseRequest(
       parseOrDie("{\"op\":\"synth\",\"source\":\"int f() { return 0; }\","

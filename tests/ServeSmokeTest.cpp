@@ -5,13 +5,17 @@
 // ping, an accepted synthesis request answered with a canonical result,
 // a request whose deadline expires answered with `timeout` (not a hang,
 // not a dropped connection), and a SIGTERM that drains gracefully —
-// every admitted request answered, exit code 0.
+// every admitted request answered, exit code 0. One more case runs the
+// daemon on a unix socket only (--no-stdio) and talks to it through the
+// tools/dfence_client library, the transport and client perfbench's
+// serve workload drives.
 //
 // This is the tier-1 gate for the serve subsystem (also run under the
 // tsan preset; see CMakePresets.json / scripts/verify-all.cmake).
 //
 //===----------------------------------------------------------------------===//
 
+#include "dfence_client/Client.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -230,6 +235,47 @@ TEST(ServeSmoke, StdinEofDrainsAdmittedWork) {
   EXPECT_EQ(R.find("id")->asString(), "tail");
   EXPECT_EQ(R.find("status")->asString(), "ok");
   EXPECT_EQ(D.wait(), 0);
+}
+
+TEST(ServeSmoke, UnixSocketClientPipelinesAndCollectsOutOfOrder) {
+  const std::string Sock =
+      "serve_smoke_" + std::to_string(::getpid()) + ".sock";
+  ::unlink(Sock.c_str());
+  Daemon D;
+  ASSERT_TRUE(D.start({"--socket", Sock, "--no-stdio", "--slots", "2",
+                       "--jobs", "2"}));
+  // The listening socket appears once the daemon is ready.
+  struct stat St;
+  for (int I = 0; I != 6000 && ::stat(Sock.c_str(), &St) != 0; ++I)
+    ::usleep(10000);
+
+  std::string Error;
+  auto C = client::ServeClient::connectUnix(Sock, Error);
+  ASSERT_TRUE(C) << Error;
+  EXPECT_EQ(C->hello().find("proto")->asString(), "dfence-serve-v1");
+
+  // Two requests pipelined on one connection, collected in the reverse
+  // of submission order: waitFor stashes whichever answer arrives first
+  // for its own waiter.
+  ASSERT_TRUE(C->send(parseLine(synthRequest("first",
+                                             ",\"k\":60,\"rounds\":3")),
+                      Error))
+      << Error;
+  ASSERT_TRUE(C->send(parseLine(synthRequest("second",
+                                             ",\"k\":40,\"rounds\":2")),
+                      Error))
+      << Error;
+  auto Second = C->waitFor("second", Error);
+  ASSERT_TRUE(Second) << Error;
+  auto First = C->waitFor("first", Error);
+  ASSERT_TRUE(First) << Error;
+  EXPECT_EQ(Second->find("status")->asString(), "ok");
+  EXPECT_EQ(First->find("status")->asString(), "ok");
+  ASSERT_NE(First->find("result"), nullptr);
+
+  // SIGTERM with the client still connected: drain, then exit 0.
+  EXPECT_EQ(D.terminate(), 0);
+  ::unlink(Sock.c_str());
 }
 
 } // namespace

@@ -436,4 +436,29 @@ TEST(Server, MalformedAndUnpreparableRequestsAreIsolated) {
   S.drain();
 }
 
+TEST(Server, ConfigErrorsAnswerWithoutTakingAPoolLease) {
+  ServeConfig C;
+  C.Jobs = 1;
+  Server S(C);
+  Collector Col;
+  obs::Counter &Leases = S.registry().counter("serve_slot_leases_total");
+  // An iWSQ has no sequential spec: prepareJob rejects sc/lin on it, so
+  // the request never leases the slot's pool slice.
+  S.submit("{\"op\":\"bench\",\"id\":\"iwsq\",\"bench\":\"FIFO iWSQ\","
+           "\"spec\":\"lin\"}",
+           Col.fn());
+  ASSERT_TRUE(Col.waitFor(1, 60000));
+  Json R = Col.byId("iwsq");
+  EXPECT_EQ(R.find("status")->asString(), "error");
+  EXPECT_NE(R.find("reason")->asString().find("FIFO iWSQ"),
+            std::string::npos);
+  EXPECT_EQ(Leases.value(), 0u);
+  // Control: a preparable request does lease.
+  S.submit(pubRequest("ok", ",\"k\":25,\"rounds\":2"), Col.fn());
+  ASSERT_TRUE(Col.waitFor(2, 60000));
+  EXPECT_EQ(Col.byId("ok").find("status")->asString(), "ok");
+  EXPECT_EQ(Leases.value(), 1u);
+  S.drain();
+}
+
 } // namespace

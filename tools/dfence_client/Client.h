@@ -8,8 +8,8 @@
 // responses may arrive in any order, and call()/waitFor() reorder them
 // for the caller by stashing non-matching lines.
 //
-// Intended consumers: bench/serve_load (the load generator), tests, and
-// ad-hoc tooling. Deliberately not a general RPC framework — no TLS, no
+// Intended consumers: perfbench's serve workload (the load generator),
+// tests/ServeSmokeTest.cpp, and ad-hoc tooling. Deliberately not a general RPC framework — no TLS, no
 // reconnect, no timeouts beyond the socket's, exactly one in-flight
 // reader thread (the caller's).
 //
